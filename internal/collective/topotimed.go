@@ -11,27 +11,39 @@ import (
 	"t3sim/internal/units"
 )
 
-// TopoOptions parameterizes a timed collective over an arbitrary topology
-// graph. It mirrors Options with the ring replaced by an
-// interconnect.Topology; multi-hop sends store-and-forward block by block
-// through the graph's deterministic routes.
+// Device bundles the per-GPU resources a timed collective touches.
+type Device struct {
+	ID  int
+	Mem *memory.Controller
+}
+
+// TopoOptions parameterizes a timed collective over a topology graph.
+// Multi-hop sends store-and-forward block by block through the graph's
+// deterministic routes; the paper's Table 1 ring is
+// interconnect.RingTopo(n, cfg).
 type TopoOptions struct {
 	Topo    *interconnect.Topology
 	Devices []*Device
 	// TotalBytes is the full array size being reduced/gathered.
 	TotalBytes units.Bytes
-	// BlockBytes is the software pipelining granularity (see Options).
+	// BlockBytes is the software pipelining granularity within one round:
+	// the unit at which data moves through read → reduce → send →
+	// receive-write.
 	BlockBytes units.Bytes
-	// CUs and PerCUMemBandwidth set the kernel's CU-side touch rate.
+	// CUs is how many compute units the collective kernel occupies; with
+	// fewer CUs the kernel sustains less memory throughput, which is the
+	// §3.2.1 contention effect. PerCUMemBandwidth is the memory throughput
+	// one CU sustains.
 	CUs               int
 	PerCUMemBandwidth units.Bandwidth
 	// NMC stages reduction arrivals as in-DRAM updates and eliminates fold
-	// and merge kernels (§4.3).
+	// and merge kernels (§4.3, Figure 10).
 	NMC bool
 	// Stream selects the memory-controller stream the kernel's accesses use.
 	Stream memory.Stream
-	// Metrics, if non-nil, receives the same "collective" track, staging
-	// instants, and block/byte counters the ring run emits. Nil costs
+	// Metrics, if non-nil, receives a "collective" timeline track with one
+	// span per pipelined block (reads through wire delivery), staging
+	// instants at round boundaries, and block/byte counters. Nil costs
 	// nothing.
 	Metrics metrics.Sink
 	// Check, if non-nil, attaches the graph conservation witness: a wire
@@ -64,15 +76,41 @@ func (o TopoOptions) Validate() error {
 	return nil
 }
 
+// cuRate returns the kernel's sustainable CU-side memory touch rate.
 func (o TopoOptions) cuRate() units.Bandwidth {
 	return units.Bandwidth(float64(o.PerCUMemBandwidth) * float64(o.CUs))
 }
 
-// graphRun tracks one in-flight timed collective over a topology graph. Like
-// the ring run, blocks pipeline freely within a round but a device begins
-// round r+1 only after every round-r op destined to it has been staged (and,
-// for eager-fold algorithms, folded) — the kernel boundary. Unlike the ring,
-// a round may deliver nothing to a device (tree leaves, finished halving
+// chunkSizes splits total into n chunks, mirroring ChunkBounds over bytes.
+func chunkSizes(total units.Bytes, n int) []units.Bytes {
+	bounds := ChunkBounds(int(total), n)
+	out := make([]units.Bytes, n)
+	for i, b := range bounds {
+		out[i] = units.Bytes(b[1] - b[0])
+	}
+	return out
+}
+
+// splitBlocks splits a chunk into pipeline blocks of at most blockBytes.
+func splitBlocks(c, blockBytes units.Bytes) []units.Bytes {
+	var out []units.Bytes
+	for c > 0 {
+		b := blockBytes
+		if c < b {
+			b = c
+		}
+		out = append(out, b)
+		c -= b
+	}
+	return out
+}
+
+// graphRun tracks one in-flight timed collective over a topology graph.
+// Each round runs as its own kernel, like the paper's simulated baseline
+// (§5.1.1, Figure 13): blocks pipeline freely within a round but a device
+// begins round r+1 only after every round-r op destined to it has been
+// staged (and, for eager-fold algorithms, folded) — the kernel boundary. A
+// round may deliver nothing to a device (tree leaves, finished halving
 // partners); such devices advance immediately.
 type graphRun struct {
 	eng    *sim.Engine   // shared-engine mode; nil in cluster mode

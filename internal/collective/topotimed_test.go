@@ -96,84 +96,102 @@ func runTopo(t *testing.T, eng *sim.Engine, algo Algorithm, op Op, o TopoOptions
 	return done
 }
 
-// TestTopoRingMatchesLegacyRing pins the generalized engine to its ancestor:
-// the ring algorithm on a ring topology reproduces the legacy timed ring
-// collective exactly — same rotation, same deferred-fold reads, same final
-// merge kernel.
+// TestTopoRingMatchesLegacyRing pins the ring algorithm on a ring topology
+// to the completion times the original ring-only timed collective produced
+// on the same 16 MiB harness before it was folded into the graph engine:
+// same rotation, same deferred-fold reads, same final merge kernel.
 func TestTopoRingMatchesLegacyRing(t *testing.T) {
-	cfg := interconnect.DefaultConfig()
-	for _, devices := range []int{2, 4, 8} {
-		for _, tc := range []struct {
-			name string
-			op   Op
-			nmc  bool
-		}{
-			{"rs", ReduceScatterOp, false},
-			{"rs-nmc", ReduceScatterOp, true},
-			{"ag", AllGatherOp, false},
-		} {
-			eng, lo := harness(t, devices)
-			lo.NMC = tc.nmc
-			var legacy units.Time
-			if tc.op == ReduceScatterOp {
-				legacy = runRS(t, eng, lo)
-			} else {
-				legacy = runAG(t, eng, lo)
-			}
-
-			teng, to := topoHarness(t, interconnect.RingTopo(devices, cfg))
-			to.TotalBytes = lo.TotalBytes
-			to.NMC = tc.nmc
-			got := runTopo(t, teng, AlgoRing, tc.op, to)
-			if got != legacy {
-				t.Errorf("n=%d %s: topo ring %v != legacy ring %v", devices, tc.name, got, legacy)
-			}
+	for _, tc := range []struct {
+		devices int
+		name    string
+		op      Op
+		nmc     bool
+		legacy  units.Time // picoseconds
+	}{
+		{2, "rs", ReduceScatterOp, false, 137757568},
+		{2, "rs-nmc", ReduceScatterOp, true, 112657280},
+		{2, "ag", AllGatherOp, false, 112591744},
+		{4, "rs", ReduceScatterOp, false, 182635136},
+		{4, "rs-nmc", ReduceScatterOp, true, 170197632},
+		{4, "ag", AllGatherOp, false, 170001024},
+		{8, "rs", ReduceScatterOp, false, 207377536},
+		{8, "rs-nmc", ReduceScatterOp, true, 201391232},
+		{8, "ag", AllGatherOp, false, 200932480},
+	} {
+		eng, o := ringHarness(t, tc.devices)
+		o.NMC = tc.nmc
+		if got := runTopo(t, eng, AlgoRing, tc.op, o); got != tc.legacy {
+			t.Errorf("n=%d %s: topo ring %v != legacy ring %v", tc.devices, tc.name, got, tc.legacy)
 		}
 	}
 }
 
 // TestTopoCollectiveClusterMatchesShared requires every (topology ×
-// algorithm × op) cell to complete at identical times whether the devices
+// algorithm × op) cell to complete at identical times, per device and
+// overall, with identical per-link byte accounting, whether the devices
 // share one engine or each owns a cluster engine — at every worker count.
+// Small rings and NMC reduce-scatter ride along.
 func TestTopoCollectiveClusterMatchesShared(t *testing.T) {
-	for _, spec := range testSpecs() {
+	cfg := interconnect.DefaultConfig()
+	specs := append(testSpecs(), interconnect.RingTopo(2, cfg), interconnect.RingTopo(4, cfg))
+	for _, spec := range specs {
+		kind := spec.Kind.String()
+		if spec.Devices != 8 {
+			kind = fmt.Sprintf("%s%d", kind, spec.Devices)
+		}
 		for _, algo := range CandidateAlgorithms(spec) {
 			for _, op := range []Op{ReduceScatterOp, AllGatherOp, AllReduceOp} {
-				spec, algo, op := spec, algo, op
-				t.Run(fmt.Sprintf("%v/%v/%v", spec.Kind, algo, op), func(t *testing.T) {
-					t.Parallel()
-					eng, so := topoHarness(t, spec)
-					want := runTopo(t, eng, algo, op, so)
-					wantDev := make([]units.Time, spec.Devices)
+				for _, nmc := range []bool{false, true} {
+					if nmc && op != ReduceScatterOp {
+						continue
+					}
+					name := fmt.Sprintf("%s/%v/%v", kind, algo, op)
+					if nmc {
+						name += "/nmc"
+					}
+					spec, algo, op, nmc := spec, algo, op, nmc
+					t.Run(name, func(t *testing.T) {
+						t.Parallel()
+						eng, so := topoHarness(t, spec)
+						so.NMC = nmc
+						want := runTopo(t, eng, algo, op, so)
+						wantDev := make([]units.Time, spec.Devices)
 
-					for _, workers := range []int{1, 2, 4} {
-						cl, co := clusterTopoHarness(t, spec)
-						chk := check.New()
-						co.Check = chk
-						cr, err := StartClusterTopoCollective(cl, algo, op, co)
-						if err != nil {
-							t.Fatal(err)
-						}
-						cl.Run(workers)
-						cr.Finish()
-						if got := cr.Done(); got != want {
-							t.Errorf("workers=%d: done %v, want %v", workers, got, want)
-						}
-						for d := 0; d < spec.Devices; d++ {
-							if workers == 1 {
-								wantDev[d] = cr.DeviceDone(d)
-							} else if got := cr.DeviceDone(d); got != wantDev[d] {
-								t.Errorf("workers=%d: device %d done %v, want %v", workers, d, got, wantDev[d])
+						for _, workers := range []int{1, 2, 4} {
+							cl, co := clusterTopoHarness(t, spec)
+							co.NMC = nmc
+							chk := check.New()
+							co.Check = chk
+							cr, err := StartClusterTopoCollective(cl, algo, op, co)
+							if err != nil {
+								t.Fatal(err)
+							}
+							cl.Run(workers)
+							cr.Finish()
+							if got := cr.Done(); got != want {
+								t.Errorf("workers=%d: done %v, want %v", workers, got, want)
+							}
+							for d := 0; d < spec.Devices; d++ {
+								if workers == 1 {
+									wantDev[d] = cr.DeviceDone(d)
+									if wantDev[d] == 0 {
+										t.Errorf("device %d never completed", d)
+									}
+								} else if got := cr.DeviceDone(d); got != wantDev[d] {
+									t.Errorf("workers=%d: device %d done %v, want %v", workers, d, got, wantDev[d])
+								}
+							}
+							for i := 0; i < so.Topo.NumLinks(); i++ {
+								if gotB, wantB := co.Topo.LinkAt(i).SentBytes(), so.Topo.LinkAt(i).SentBytes(); gotB != wantB {
+									t.Errorf("workers=%d: link %d sent %v, want %v", workers, i, gotB, wantB)
+								}
+							}
+							if !chk.Ok() {
+								t.Errorf("workers=%d: violations: %v", workers, chk.Violations())
 							}
 						}
-						if gotB, wantB := co.Topo.SentBytes(), so.Topo.SentBytes(); gotB != wantB {
-							t.Errorf("workers=%d: wire bytes %v, want %v", workers, gotB, wantB)
-						}
-						if !chk.Ok() {
-							t.Errorf("workers=%d: violations: %v", workers, chk.Violations())
-						}
-					}
-				})
+					})
+				}
 			}
 		}
 	}

@@ -154,45 +154,17 @@ func coarseRunGEMMIsolated(setup Setup, grid gemm.Grid) (units.Time, error) {
 
 // coarseRunRSIsolated times the reduce-scatter alone on its CU share.
 func coarseRunRSIsolated(setup Setup, nmc bool) (units.Time, error) {
-	eng := sim.NewEngine()
-	ring, err := interconnect.NewRing(eng, coarseDevices, setup.Link)
-	if err != nil {
-		return 0, err
-	}
-	devs := make([]*collective.Device, coarseDevices)
-	for i := range devs {
-		mc, err := memory.NewController(eng, setup.Memory, memory.ComputeFirst{})
-		if err != nil {
-			return 0, err
-		}
-		devs[i] = &collective.Device{ID: i, Mem: mc}
-	}
-	var done units.Time
-	err = collective.StartRingReduceScatter(eng, collective.Options{
-		Ring:              ring,
-		Devices:           devs,
-		TotalBytes:        coarseRSBytes,
-		BlockBytes:        setup.BlockBytes,
-		CUs:               coarseRSCUs,
-		PerCUMemBandwidth: setup.PerCUMemBandwidth,
-		NMC:               nmc,
-		Stream:            memory.StreamComm,
-	}, func() { done = eng.Now() })
-	if err != nil {
-		return 0, err
-	}
-	eng.Run()
-	if done == 0 {
-		return 0, fmt.Errorf("experiments: isolated RS never completed")
-	}
-	return done, nil
+	rsSetup := setup
+	rsSetup.CollectiveCUs = coarseRSCUs
+	return timedTopoCollective(rsSetup, interconnect.RingTopo(coarseDevices, setup.Link), collective.AlgoRing,
+		collective.ReduceScatterOp, coarseRSBytes, nmc, 0, nil)
 }
 
 // coarseRunConcurrent runs one GEMM per device concurrently with the
 // reduce-scatter on shared memory controllers.
 func coarseRunConcurrent(setup Setup, grid gemm.Grid, arbKind t3core.Arbitration, nmc bool) (gemmT, rsT units.Time, err error) {
 	eng := sim.NewEngine()
-	ring, err := interconnect.NewRing(eng, coarseDevices, setup.Link)
+	ring, err := interconnect.RingTopo(coarseDevices, setup.Link).Build(eng)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -225,8 +197,8 @@ func coarseRunConcurrent(setup Setup, grid gemm.Grid, arbKind t3core.Arbitration
 		}
 	}
 	var rsDone units.Time
-	err = collective.StartRingReduceScatter(eng, collective.Options{
-		Ring:              ring,
+	err = collective.StartTopoCollective(eng, collective.AlgoRing, collective.ReduceScatterOp, collective.TopoOptions{
+		Topo:              ring,
 		Devices:           devs,
 		TotalBytes:        coarseRSBytes,
 		BlockBytes:        setup.BlockBytes,

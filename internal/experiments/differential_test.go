@@ -8,14 +8,12 @@ import (
 	"t3sim/internal/check"
 	"t3sim/internal/collective"
 	"t3sim/internal/interconnect"
-	"t3sim/internal/memory"
-	"t3sim/internal/sim"
 	"t3sim/internal/units"
 )
 
 // Differential testing of the two independent collective implementations:
-// the timed discrete-event simulation (internal/collective/timed.go) versus
-// the closed-form analytic model (internal/collective/analytic.go). Neither
+// the timed discrete-event simulation (internal/collective/topotimed.go)
+// versus the closed-form analytic model (internal/collective/analytic.go). Neither
 // shares code with the other, so agreement over a seeded parameter grid is
 // strong evidence both are right; divergence localizes a bug to whichever
 // side the configuration stresses.
@@ -43,45 +41,16 @@ func differentialStepSlack(setup Setup) units.Time {
 // built devices, with the invariant checker attached.
 func runTimedCollective(t *testing.T, setup Setup, devices int, size units.Bytes, allGather, nmc bool) units.Time {
 	t.Helper()
-	eng := sim.NewEngine()
 	checker := check.New()
-	eng.AttachChecker(checker)
-	ring, err := interconnect.NewRing(eng, devices, setup.Link)
+	setup.Check = checker
+	op := collective.ReduceScatterOp
+	if allGather {
+		op = collective.AllGatherOp
+	}
+	done, err := timedTopoCollective(setup, interconnect.RingTopo(devices, setup.Link), collective.AlgoRing,
+		op, size, nmc, 0, nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	devs := make([]*collective.Device, devices)
-	for i := range devs {
-		memCfg := setup.Memory
-		memCfg.Check = checker
-		mc, err := memory.NewController(eng, memCfg, memory.ComputeFirst{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		devs[i] = &collective.Device{ID: i, Mem: mc}
-	}
-	opts := collective.Options{
-		Ring:              ring,
-		Devices:           devs,
-		TotalBytes:        size,
-		BlockBytes:        setup.BlockBytes,
-		CUs:               setup.CollectiveCUs,
-		PerCUMemBandwidth: setup.PerCUMemBandwidth,
-		NMC:               nmc,
-		Stream:            memory.StreamComm,
-		Check:             checker,
-	}
-	var done units.Time
-	start := collective.StartRingReduceScatter
-	if allGather {
-		start = collective.StartRingAllGather
-	}
-	if err := start(eng, opts, func() { done = eng.Now() }); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-	if done == 0 {
-		t.Fatal("collective never completed")
 	}
 	for _, v := range checker.Violations() {
 		t.Errorf("invariant violation: %s", v)

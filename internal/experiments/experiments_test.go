@@ -1,11 +1,14 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
+	"t3sim/internal/metrics"
 	"t3sim/internal/transformer"
+	"t3sim/internal/units"
 )
 
 // sharedEv memoizes sub-layer simulations across the test suite.
@@ -143,6 +146,42 @@ func TestFig14Validation(t *testing.T) {
 	}
 	if !strings.Contains(res.Render(), "Figure 14") {
 		t.Error("render missing title")
+	}
+}
+
+// TestFig14MetricsLinkBytes checks fig14's -metrics content for one sweep
+// point: the topology's per-link sent_bytes counters sum to the ring
+// reduce-scatter's wire bytes, (N−1)·size, and match the collective's own
+// link_bytes counter.
+func TestFig14MetricsLinkBytes(t *testing.T) {
+	const devices = 4
+	size := 6 * units.MiB
+	setup := DefaultSetup()
+	reg := metrics.NewRegistry()
+	setup.Metrics = reg
+	if _, err := runTimedRS(setup, devices, size); err != nil {
+		t.Fatal(err)
+	}
+	prefix := fmt.Sprintf("fig14/rs-%s/", size)
+	var sent int64
+	links := 0
+	for _, name := range reg.CounterNames() {
+		if strings.HasPrefix(name, prefix+"interconnect.") && strings.HasSuffix(name, ".sent_bytes") {
+			sent += reg.CounterValue(name)
+			links++
+		}
+	}
+	if links != 2*devices {
+		t.Errorf("%d link counters, want %d", links, 2*devices)
+	}
+	if want := int64(devices-1) * int64(size); sent != want {
+		t.Errorf("summed interconnect sent_bytes = %d, want RS wire bytes %d", sent, want)
+	}
+	if got := reg.CounterValue(prefix + "collective.link_bytes"); got != sent {
+		t.Errorf("collective.link_bytes = %d, links sent %d", got, sent)
+	}
+	if reg.CounterValue(prefix+"dev0/memory.chan0.comm.read_bytes") == 0 {
+		t.Errorf("no per-device memory counters under %sdev0/; have %v", prefix, reg.CounterNames())
 	}
 }
 

@@ -5,9 +5,7 @@ import (
 
 	"t3sim/internal/collective"
 	"t3sim/internal/interconnect"
-	"t3sim/internal/memory"
 	"t3sim/internal/metrics"
-	"t3sim/internal/sim"
 	"t3sim/internal/stats"
 	"t3sim/internal/units"
 )
@@ -84,56 +82,16 @@ func fig14(setup Setup) (*Fig14Result, error) {
 	return res, nil
 }
 
-// runTimedRS runs one timed multi-GPU reduce-scatter to completion.
+// runTimedRS runs one timed multi-GPU ring reduce-scatter to completion.
 func runTimedRS(setup Setup, devices int, size units.Bytes) (units.Time, error) {
-	eng := sim.NewEngine()
-	eng.AttachChecker(setup.Check)
 	// One scope per sweep point keeps the N memory systems' counters and the
 	// collective track distinct across sizes.
 	var sink metrics.Sink
 	if m := setup.Metrics; m != nil {
 		sink = m.Scope(fmt.Sprintf("fig14/rs-%s", size))
 	}
-	ring, err := interconnect.NewRing(eng, devices, setup.Link)
-	if err != nil {
-		return 0, err
-	}
-	if sink != nil {
-		ring.AttachMetrics(sink)
-	}
-	devs := make([]*collective.Device, devices)
-	for i := range devs {
-		memCfg := setup.Memory
-		if sink != nil {
-			memCfg.Metrics = sink.Scope(fmt.Sprintf("dev%d", i))
-		}
-		memCfg.Check = setup.Check
-		mc, err := memory.NewController(eng, memCfg, memory.ComputeFirst{})
-		if err != nil {
-			return 0, err
-		}
-		devs[i] = &collective.Device{ID: i, Mem: mc}
-	}
-	var done units.Time
-	err = collective.StartRingReduceScatter(eng, collective.Options{
-		Ring:              ring,
-		Devices:           devs,
-		TotalBytes:        size,
-		BlockBytes:        setup.BlockBytes,
-		CUs:               setup.CollectiveCUs,
-		PerCUMemBandwidth: setup.PerCUMemBandwidth,
-		Stream:            memory.StreamComm,
-		Metrics:           sink,
-		Check:             setup.Check,
-	}, func() { done = eng.Now() })
-	if err != nil {
-		return 0, err
-	}
-	eng.Run()
-	if done == 0 {
-		return 0, fmt.Errorf("experiments: reduce-scatter never completed")
-	}
-	return done, nil
+	return timedTopoCollective(setup, interconnect.RingTopo(devices, setup.Link), collective.AlgoRing,
+		collective.ReduceScatterOp, size, false, 0, sink)
 }
 
 // Render formats the validation like the paper's scatter plot.

@@ -193,44 +193,12 @@ func (l *layerSim) elementwise(bytes units.Bytes) func() (units.Time, error) {
 // allReduce returns a runner simulating the timed multi-GPU RS+AG.
 func (l *layerSim) allReduce(bytes units.Bytes, tp int) func() (units.Time, error) {
 	return func() (units.Time, error) {
-		run := func(start func(*sim.Engine, collective.Options, sim.Handler) error) (units.Time, error) {
-			eng := sim.NewEngine()
-			ring, err := interconnect.NewRing(eng, tp, l.setup.Link)
-			if err != nil {
-				return 0, err
-			}
-			devs := make([]*collective.Device, tp)
-			for i := range devs {
-				mc, err := memory.NewController(eng, l.setup.Memory, memory.ComputeFirst{})
-				if err != nil {
-					return 0, err
-				}
-				devs[i] = &collective.Device{ID: i, Mem: mc}
-			}
-			var done units.Time
-			err = start(eng, collective.Options{
-				Ring:              ring,
-				Devices:           devs,
-				TotalBytes:        bytes,
-				BlockBytes:        l.setup.BlockBytes,
-				CUs:               l.setup.CollectiveCUs,
-				PerCUMemBandwidth: l.setup.PerCUMemBandwidth,
-				Stream:            memory.StreamComm,
-			}, func() { done = eng.Now() })
-			if err != nil {
-				return 0, err
-			}
-			eng.Run()
-			if done == 0 {
-				return 0, fmt.Errorf("experiments: collective never completed")
-			}
-			return done, nil
-		}
-		rs, err := run(collective.StartRingReduceScatter)
+		ring := interconnect.RingTopo(tp, l.setup.Link)
+		rs, err := timedTopoCollective(l.setup, ring, collective.AlgoRing, collective.ReduceScatterOp, bytes, false, 0, nil)
 		if err != nil {
 			return 0, err
 		}
-		ag, err := run(collective.StartRingAllGather)
+		ag, err := timedTopoCollective(l.setup, ring, collective.AlgoRing, collective.AllGatherOp, bytes, false, 0, nil)
 		if err != nil {
 			return 0, err
 		}

@@ -168,7 +168,9 @@ func topoAnalytic(setup Setup, size units.Bytes, nmc bool) collective.AnalyticOp
 
 // timedTopoCollective runs one timed graph collective to completion.
 // workers == 0 uses a single shared engine; workers > 0 simulates each
-// device on its own cluster engine (byte-identical at every count).
+// device on its own cluster engine (byte-identical at every count). A
+// non-nil sink receives the collective's instruments, every link's
+// instruments and a "dev<i>" memory scope per device.
 func timedTopoCollective(setup Setup, spec interconnect.TopoSpec, algo collective.Algorithm,
 	op collective.Op, size units.Bytes, nmc bool, workers int, sink metrics.Sink) (units.Time, error) {
 	opts := collective.TopoOptions{
@@ -185,9 +187,20 @@ func timedTopoCollective(setup Setup, spec interconnect.TopoSpec, algo collectiv
 	if setup.Check != nil && memCfg.Check == nil {
 		memCfg.Check = setup.Check
 	}
-	buildDevs := func(engOf func(int) *sim.Engine) error {
+	// attach wires a built topology and fresh per-device memory controllers
+	// into opts, with the run's checker and sink.
+	attach := func(topo *interconnect.Topology, engOf func(int) *sim.Engine) error {
+		topo.AttachChecker(setup.Check)
+		if sink != nil {
+			topo.AttachMetrics(sink)
+		}
+		opts.Topo = topo
 		devs := make([]*collective.Device, spec.Devices)
 		for i := range devs {
+			memCfg := memCfg
+			if sink != nil {
+				memCfg.Metrics = sink.Scope(fmt.Sprintf("dev%d", i))
+			}
 			mc, err := memory.NewController(engOf(i), memCfg, memory.ComputeFirst{})
 			if err != nil {
 				return err
@@ -204,9 +217,7 @@ func timedTopoCollective(setup Setup, spec interconnect.TopoSpec, algo collectiv
 		if err != nil {
 			return 0, err
 		}
-		topo.AttachChecker(setup.Check)
-		opts.Topo = topo
-		if err := buildDevs(func(int) *sim.Engine { return eng }); err != nil {
+		if err := attach(topo, func(int) *sim.Engine { return eng }); err != nil {
 			return 0, err
 		}
 		var done units.Time
@@ -214,7 +225,7 @@ func timedTopoCollective(setup Setup, spec interconnect.TopoSpec, algo collectiv
 			return 0, err
 		}
 		eng.Run()
-		return done, nil
+		return completed(done)
 	}
 	cl := sim.NewCluster(spec.Devices, spec.MinLinkLatency())
 	cl.SetSyncMode(setup.SyncMode)
@@ -225,9 +236,7 @@ func timedTopoCollective(setup Setup, spec interconnect.TopoSpec, algo collectiv
 	if err != nil {
 		return 0, err
 	}
-	topo.AttachChecker(setup.Check)
-	opts.Topo = topo
-	if err := buildDevs(cl.Engine); err != nil {
+	if err := attach(topo, cl.Engine); err != nil {
 		return 0, err
 	}
 	cr, err := collective.StartClusterTopoCollective(cl, algo, op, opts)
@@ -236,7 +245,16 @@ func timedTopoCollective(setup Setup, spec interconnect.TopoSpec, algo collectiv
 	}
 	cl.Run(workers)
 	cr.Finish()
-	return cr.Done(), nil
+	return completed(cr.Done())
+}
+
+// completed rejects the zero completion time of a collective that never
+// finished.
+func completed(done units.Time) (units.Time, error) {
+	if done == 0 {
+		return 0, fmt.Errorf("experiments: collective never completed")
+	}
+	return done, nil
 }
 
 // TopoSweep runs the topology sweep. A non-zero setup.Topo restricts every

@@ -48,7 +48,7 @@ func (k TopoKind) String() string {
 // exist and which directed links join them, with per-link bandwidth and
 // latency. A spec carries no simulation state; Build / BuildCluster
 // instantiate live links on an engine or a cluster. The zero TopoSpec is
-// "unset" (IsZero), which every consumer treats as the legacy ring path.
+// "unset" (IsZero), which consumers default to RingTopo.
 type TopoSpec struct {
 	Kind TopoKind
 	// Devices is the total device count (Rows*Cols for a torus,
@@ -87,7 +87,7 @@ func HierarchicalTopo(nodes, perNode int, intra, inter Config) TopoSpec {
 		Nodes: nodes, PerNode: perNode, Link: intra, InterLink: inter}
 }
 
-// IsZero reports whether the spec is unset (the legacy-ring sentinel).
+// IsZero reports whether the spec is unset.
 func (s TopoSpec) IsZero() bool { return s == TopoSpec{} }
 
 // interConfig returns the inter-node link configuration with the Link
@@ -147,8 +147,8 @@ type edgeSpec struct {
 // contract — BuildCluster registers one mailbox per edge in exactly this
 // order, which fixes the cluster's barrier drain order (and therefore the
 // cross-engine delivery order) for every worker count. For TopoRing it is
-// forward-then-backward per device, byte-identical to the pre-topology
-// NewClusterRing registration order.
+// forward-then-backward per device: edge 2i is i → i+1, edge 2i+1 is
+// i → i−1.
 func (s TopoSpec) edges() []edgeSpec {
 	var out []edgeSpec
 	n := s.Devices
@@ -244,8 +244,7 @@ func (s TopoSpec) MinLinkLatency() units.Time {
 // directed edge and a precomputed deterministic next-hop table. Multi-hop
 // Sends store-and-forward at message granularity: each intermediate hop
 // re-serializes on its own outgoing link, with forwarding scheduled on the
-// receiving device's engine (so cluster topologies parallelize exactly like
-// cluster rings).
+// receiving device's engine, so a cluster topology parallelizes per device.
 type Topology struct {
 	spec    TopoSpec
 	edges   []edgeSpec

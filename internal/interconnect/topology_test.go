@@ -47,8 +47,7 @@ func TestTopoSpecValidate(t *testing.T) {
 
 // TestRingTopoEdgeOrder pins the canonical edge order of the ring: forward
 // then backward per device — the cluster mailbox registration order the
-// legacy NewClusterRing used, which the byte-identity of the golden suite
-// rests on.
+// byte-identity of the golden suite rests on.
 func TestRingTopoEdgeOrder(t *testing.T) {
 	s := RingTopo(4, topoCfg())
 	var got [][2]int
@@ -231,20 +230,22 @@ func TestClusterTopoRejectsShortLatency(t *testing.T) {
 	}
 }
 
-// TestRingViewMatchesTopology checks the Ring facade exposes exactly the
-// topology's canonical edges.
+// TestRingViewMatchesTopology checks the built ring's edge numbering: edge
+// 2i is device i's forward link i → i+1 and edge 2i+1 its backward link
+// i → i−1. The cluster's mailbox drain order follows this numbering.
 func TestRingViewMatchesTopology(t *testing.T) {
 	eng := sim.NewEngine()
-	r, err := NewRing(eng, 4, topoCfg())
+	r, err := RingTopo(4, topoCfg()).Build(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if r.ForwardLink(i) != r.Topo().Link(i, r.Next(i)) {
-			t.Errorf("forward link %d is not the topology's %d->%d edge", i, i, r.Next(i))
+		next, prev := (i+1)%4, (i+3)%4
+		if r.LinkAt(2*i) != r.Link(i, next) {
+			t.Errorf("edge %d is not the topology's %d->%d link", 2*i, i, next)
 		}
-		if r.BackwardLink(i) != r.Topo().Link(i, r.Prev(i)) {
-			t.Errorf("backward link %d is not the topology's %d->%d edge", i, i, r.Prev(i))
+		if r.LinkAt(2*i+1) != r.Link(i, prev) {
+			t.Errorf("edge %d is not the topology's %d->%d link", 2*i+1, i, prev)
 		}
 	}
 }

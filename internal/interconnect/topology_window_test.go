@@ -8,6 +8,9 @@ import (
 	"t3sim/internal/units"
 )
 
+// hierAckBytes is the size of the probe's acknowledgement message.
+const hierAckBytes = 64 * units.Byte
+
 // hierWindowProbe runs a fixed multi-round traffic pattern over a 2x4
 // hierarchy on a cluster and returns the delivery times plus the run stats.
 // The spec's per-edge latencies are taken as given; the cluster lookahead is
@@ -39,11 +42,16 @@ func hierWindowProbe(t *testing.T, spec TopoSpec, mode sim.ClusterSyncMode, work
 			if r%2 == 1 {
 				dst = (d + 4) % n
 			}
+			// The delivery runs on dst's engine, so it touches only its own
+			// out cell; the acknowledgement travels back as a message and
+			// resumes device d on d's own engine.
 			topo.Send(d, dst, units.Bytes(8+d)*units.KiB, func() {
 				out[d*rounds+r] = cl.Engine(dst).Now()
-				if round < rounds {
-					cl.Engine(d).After(spec.Link.LinkLatency, kick)
-				}
+				topo.Send(dst, d, hierAckBytes, func() {
+					if round < rounds {
+						kick()
+					}
+				})
 			})
 		}
 		cl.Engine(d).At(units.Time(d)*100, kick)

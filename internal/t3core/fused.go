@@ -48,16 +48,14 @@ type FusedOptions struct {
 	Memory  memory.Config
 	Link    interconnect.Config
 	Tracker TrackerConfig
-	// Topo, when non-zero, generalizes the interconnect of the explicit
-	// multi-device run (RunFusedGEMMRSMultiDevice) from the implicit
-	// bidirectional ring to an arbitrary topology graph — ring, 2D torus,
-	// fully-connected switch, or hierarchical two-level network. Every
-	// neighbor send is routed over the graph's deterministic shortest
-	// paths, store-and-forwarding at intermediate hops, and the cluster
-	// path's conservative lookahead becomes the topology's minimum link
-	// latency. The zero spec is the legacy ring, byte-identical to the
-	// pre-topology simulator. Single-GPU mirror runs model the ring
-	// implicitly and reject a non-ring Topo.
+	// Topo is the interconnect graph of the explicit multi-device run
+	// (RunFusedGEMMRSMultiDevice) — ring, 2D torus, fully-connected switch,
+	// or hierarchical two-level network. Every neighbor send is routed over
+	// the graph's deterministic shortest paths, store-and-forwarding at
+	// intermediate hops, and the cluster path's conservative lookahead is
+	// the topology's minimum link latency. The zero spec is the Table 1
+	// ring, interconnect.RingTopo(Devices, Link). Single-GPU mirror runs
+	// model the ring implicitly and reject a non-ring Topo.
 	Topo interconnect.TopoSpec
 	// Devices is the tensor-parallel degree (ring size).
 	Devices int

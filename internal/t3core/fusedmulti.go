@@ -26,7 +26,8 @@ type MultiDeviceResult struct {
 	DRAM memory.Counters
 	// PerDeviceDRAM is each device's own traffic.
 	PerDeviceDRAM []memory.Counters
-	// LinkBytes sums all forward-ring traffic.
+	// LinkBytes sums every link's traffic; transit hops count once per
+	// traversed link.
 	LinkBytes units.Bytes
 	// TrackerMaxLive is the largest per-device high-water mark.
 	TrackerMaxLive int
@@ -79,8 +80,7 @@ type multiRun struct {
 	o    FusedOptions
 	eng  *sim.Engine            // sequential mode: the one shared engine (nil in cluster mode)
 	cl   *sim.Cluster           // cluster mode: one engine per device (nil in sequential mode)
-	ring *interconnect.Ring     // legacy interconnect (zero o.Topo)
-	topo *interconnect.Topology // graph interconnect (non-zero o.Topo)
+	topo *interconnect.Topology // the interconnect graph (o.Topo)
 	devs []*multiDevice
 
 	tileBytes  units.Bytes
@@ -98,27 +98,16 @@ func (r *multiRun) engOf(d int) *sim.Engine {
 	return r.eng
 }
 
-// send moves n bytes from src to dst over the run's interconnect: the
-// topology routes over its deterministic shortest paths (store-and-forward
-// at intermediate hops); the legacy ring path is the src forward link, whose
-// only neighbor is dst by construction.
-func (r *multiRun) send(src, dst int, n units.Bytes, onDelivered sim.Handler) {
-	if r.topo != nil {
-		r.topo.Send(src, dst, n, onDelivered)
-		return
-	}
-	r.ring.ForwardLink(src).Send(n, onDelivered)
-}
-
 // RunFusedGEMMRSMultiDevice executes the fused GEMM→ring-reduce-scatter
 // with every device simulated explicitly: per-device memory systems,
 // trackers and DMA tables, staggered production orders (§4.4), and real
-// cross-device deliveries over the interconnect — no mirroring. A non-zero
-// o.Topo replaces the implicit ring with an arbitrary topology graph: the
-// ring schedule's neighbor sends are routed over the graph's deterministic
-// shortest paths (store-and-forwarding at intermediate hops), which is how
-// the topology sweep asks whether tracker-triggered overlap still wins on a
-// torus, a switch, or a two-level hierarchy.
+// cross-device deliveries over the interconnect — no mirroring. The
+// interconnect is o.Topo, defaulting to the Table 1 ring
+// (interconnect.RingTopo): the ring schedule's neighbor sends are routed
+// over the graph's deterministic shortest paths (store-and-forwarding at
+// intermediate hops), which is how the topology sweep asks whether
+// tracker-triggered overlap still wins on a torus, a switch, or a two-level
+// hierarchy.
 //
 // With o.ParWorkers > 0 (and a positive minimum link latency) each device is
 // simulated on its own engine inside a sim.Cluster, advanced in conservative
@@ -134,45 +123,32 @@ func RunFusedGEMMRSMultiDevice(o FusedOptions) (MultiDeviceResult, error) {
 	if o.Grid.Tiling.SplitK != 1 {
 		return MultiDeviceResult{}, fmt.Errorf("t3core: multi-device run supports SplitK=1 only")
 	}
-	r := &multiRun{o: o}
 	n := o.Devices
+	if o.Topo.IsZero() {
+		o.Topo = interconnect.RingTopo(n, o.Link)
+	}
+	r := &multiRun{o: o}
 	// A zero-latency link admits no conservative window (the lookahead must
 	// be positive), so such configurations fall back to the shared engine.
-	// With a topology the lookahead is the slowest-case-safe minimum link
-	// latency over the whole graph.
-	minLat := o.Link.LinkLatency
-	if !o.Topo.IsZero() {
-		minLat = o.Topo.MinLinkLatency()
-	}
+	// The lookahead is the slowest-case-safe minimum link latency over the
+	// whole graph.
+	minLat := o.Topo.MinLinkLatency()
 	parallel := o.ParWorkers > 0 && minLat > 0
-	var ring *interconnect.Ring
 	var err error
-	switch {
-	case !o.Topo.IsZero() && parallel:
+	if parallel {
 		r.cl = sim.NewCluster(n, minLat)
 		r.cl.SetSyncMode(o.SyncMode)
 		r.cl.AttachChecker(o.Check)
 		r.topo, err = o.Topo.BuildCluster(r.cl)
-	case !o.Topo.IsZero():
+	} else {
 		r.eng = sim.NewEngine()
 		r.eng.AttachChecker(o.Check)
 		r.topo, err = o.Topo.Build(r.eng)
-	case parallel:
-		r.cl = sim.NewCluster(n, minLat)
-		r.cl.SetSyncMode(o.SyncMode)
-		r.cl.AttachChecker(o.Check)
-		ring, err = interconnect.NewClusterRing(r.cl, o.Link)
-	default:
-		r.eng = sim.NewEngine()
-		r.eng.AttachChecker(o.Check)
-		ring, err = interconnect.NewRing(r.eng, n, o.Link)
 	}
 	if err != nil {
 		return MultiDeviceResult{}, err
 	}
-	if r.topo != nil {
-		r.topo.AttachChecker(o.Check)
-	}
+	r.topo.AttachChecker(o.Check)
 	r.tileBytes = o.Grid.WFTileBytes()
 	r.totalTiles = o.Grid.NumWFs()
 	bounds := collective.ChunkBounds(r.totalTiles, n)
@@ -183,13 +159,8 @@ func RunFusedGEMMRSMultiDevice(o FusedOptions) (MultiDeviceResult, error) {
 	r.chunkStart[n] = r.totalTiles
 
 	if o.Metrics != nil {
-		if r.topo != nil {
-			r.topo.AttachMetrics(o.Metrics)
-		} else {
-			ring.AttachMetrics(o.Metrics)
-		}
+		r.topo.AttachMetrics(o.Metrics)
 	}
-	r.ring = ring
 
 	r.devs = make([]*multiDevice, n)
 	for d := 0; d < n; d++ {
@@ -270,9 +241,6 @@ func RunFusedGEMMRSMultiDevice(o FusedOptions) (MultiDeviceResult, error) {
 				res.DRAM.Requests[k][s] += cnt.Requests[k][s]
 			}
 		}
-		if r.topo == nil {
-			res.LinkBytes += ring.ForwardLink(d).SentBytes()
-		}
 		if ml := md.trk.MaxLive(); ml > res.TrackerMaxLive {
 			res.TrackerMaxLive = ml
 		}
@@ -280,11 +248,7 @@ func RunFusedGEMMRSMultiDevice(o FusedOptions) (MultiDeviceResult, error) {
 			res.Done = md.collectiveDone
 		}
 	}
-	if r.topo != nil {
-		// Transit hops count once per traversed link, like the per-device
-		// forward-link counters would on the ring.
-		res.LinkBytes = r.topo.SentBytes()
-	}
+	res.LinkBytes = r.topo.SentBytes()
 	return *res, nil
 }
 
@@ -409,7 +373,7 @@ func (md *multiDevice) writeStage(_, wgs int, _ units.Bytes, onDone sim.Handler)
 			// Peer store: over the interconnect into the next device's
 			// memory as an NMC update.
 			dest := r.devs[j.pm.Dest]
-			r.send(md.id, j.pm.Dest, r.tileBytes, func() {
+			r.topo.Send(md.id, j.pm.Dest, r.tileBytes, func() {
 				dest.stageIncoming(tile)
 			})
 		default:
@@ -449,7 +413,7 @@ func (md *multiDevice) onReady(id TileID) {
 	dest := r.devs[cmd.DestDevice]
 	md.mem.Transfer(memory.Read, memory.StreamComm, cmd.Bytes,
 		memory.Tag{WG: id.WG, WF: id.WF}, func() {
-			r.send(md.id, cmd.DestDevice, cmd.Bytes, func() {
+			r.topo.Send(md.id, cmd.DestDevice, cmd.Bytes, func() {
 				dest.stageIncoming(tile)
 			})
 		})
