@@ -73,7 +73,6 @@ func Multi64(setup Setup) (*Multi64Result, error) {
 		return nil, err
 	}
 	opts.ParWorkers = setup.MultiDeviceWorkers
-	opts.SyncMode = setup.SyncMode
 	multi, err := memoFusedMulti(setup.Memo, opts)
 	if err != nil {
 		return nil, err

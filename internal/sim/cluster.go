@@ -16,63 +16,17 @@ import (
 // calendar, and the horizon of an engine no pending event can ever reach.
 const never = units.Time(math.MaxInt64)
 
-// ClusterSyncMode selects how the cluster coordinator synchronizes the
-// per-device engines between rounds. Both modes compute the exact same
-// per-round bounds, horizons and runnable sets — results are byte-identical
-// across modes at every worker count; the knob trades coordinator overhead
-// only.
+// ClusterSyncMode names the cluster coordinator's synchronization protocol.
+// There is one, SyncAppointment (per-edge null-message promises; see
+// Cluster). The type survives so ClusterStats.Mode can keep reporting it to
+// readers that record the protocol next to their measurements.
 type ClusterSyncMode uint8
 
-const (
-	// SyncAuto (the zero value) picks the mode from the registered link
-	// graph's edge density when Run starts: appointment for sparse graphs
-	// of at least 8 engines (directed edges <= engines*(engines-1)/3),
-	// windowed otherwise. Dense graphs — a fully connected switch — touch
-	// nearly every edge every round anyway, so the windowed recompute is
-	// already proportional to the affected region and the appointment
-	// bookkeeping would only add constants.
-	SyncAuto ClusterSyncMode = iota
-	// SyncWindowed recomputes every per-engine bound and horizon from
-	// scratch each round with a full multi-source Dijkstra over the link
-	// graph, and drains every registered mailbox at every round boundary.
-	SyncWindowed
-	// SyncAppointment maintains the same fixpoint incrementally via
-	// per-edge appointments (null messages): each engine publishes, per
-	// outbound link, a promise — the earliest time it can still deliver
-	// into that link — refreshed only when its bound moves; a receiver's
-	// horizon is the minimum promise over its inbound edges only. Rounds
-	// drain only mailboxes that were actually posted to and relax only the
-	// engines whose inputs changed, so coordinator cost tracks neighbour
-	// activity instead of graph size.
-	SyncAppointment
-)
+// SyncAppointment is the appointment protocol, the only value.
+const SyncAppointment ClusterSyncMode = 0
 
-// String renders the mode as its CLI spelling.
-func (m ClusterSyncMode) String() string {
-	switch m {
-	case SyncAuto:
-		return "auto"
-	case SyncWindowed:
-		return "windowed"
-	case SyncAppointment:
-		return "appointment"
-	}
-	return fmt.Sprintf("ClusterSyncMode(%d)", int(m))
-}
-
-// ParseSyncMode parses the CLI spelling of a sync mode: auto | windowed |
-// appointment.
-func ParseSyncMode(s string) (ClusterSyncMode, error) {
-	switch s {
-	case "auto", "":
-		return SyncAuto, nil
-	case "windowed":
-		return SyncWindowed, nil
-	case "appointment":
-		return SyncAppointment, nil
-	}
-	return SyncAuto, fmt.Errorf("sim: unknown sync mode %q (auto|windowed|appointment)", s)
-}
+// String renders the protocol's name.
+func (ClusterSyncMode) String() string { return "appointment" }
 
 // Cluster coordinates one private Engine per device and advances them in
 // bounded rounds — conservative (Chandy–Misra-style) parallel DES.
@@ -100,14 +54,13 @@ func ParseSyncMode(s string) (ClusterSyncMode, error) {
 // guarantee, so they floor their destination's bound and horizon at
 // min-over-all-engines(base) + lookahead — exactly the legacy global window.
 //
-// Two synchronization modes compute that fixpoint (ClusterSyncMode):
-// SyncWindowed re-derives every bound and horizon from scratch each round;
-// SyncAppointment maintains them incrementally through per-edge promises
-// B_s + latency (null messages), re-relaxing only the support-closure of the
-// engines whose base moved and draining only the mailboxes actually posted
-// to. Because both modes converge on the identical least fixpoint, the
-// rounds, horizons, runnable sets and therefore the simulation results are
-// byte-identical between modes.
+// The coordinator maintains that fixpoint incrementally through per-edge
+// promises B_s + latency (null messages, SyncAppointment): each round it
+// re-relaxes only the support closure of the engines whose base moved and
+// drains only the mailboxes actually posted to. The result is the same least
+// fixpoint a from-scratch multi-source Dijkstra over the whole link graph
+// would produce, round by round; the package tests keep that full recompute
+// as the reference the incremental state is checked against.
 //
 // Progress: an engine holding the globally earliest event m is always
 // runnable, because every B is at least m and every link latency is positive,
@@ -119,8 +72,8 @@ func ParseSyncMode(s string) (ClusterSyncMode, error) {
 // the coordinator drains mailboxes at each round boundary — single-threaded,
 // in mailbox registration order, (time, senderSeq)-sorted within a mailbox —
 // so delivery order is a pure function of the model, never of goroutine
-// scheduling or worker count. (Appointment mode skips empty mailboxes, which
-// cannot change what is delivered; the drained subset is itself ordered by
+// scheduling or worker count. (Empty mailboxes are skipped, which cannot
+// change what is delivered; the drained subset is itself ordered by
 // registration index.) Engines remain strictly single-goroutine: within a
 // round each runnable engine is driven by exactly one worker, and between
 // rounds only the coordinator touches them.
@@ -131,10 +84,6 @@ type Cluster struct {
 	barrier   units.Time     // unattributed-mail floor of the last round (legacy global window)
 	chk       *check.Checker // retained so late-registered mailboxes get link handles
 	la        *check.Lookahead
-
-	mode       ClusterSyncMode // requested via SetSyncMode (zero = auto)
-	resolved   ClusterSyncMode // windowed or appointment, fixed by prepare
-	trackPosts bool            // appointment mode: mailboxes note first post per round
 
 	// Link topology, rebuilt lazily from boxes when Run starts. Each
 	// attributed mailbox is one directed edge, identified by a dense edge id
@@ -161,9 +110,9 @@ type Cluster struct {
 	runnable []int32      // engines with base < horizon this round
 	prevNow  []units.Time // clock at round start, for window-width accounting
 
-	// Appointment-mode state: per-edge promises and the support bookkeeping
-	// that keeps the incremental fixpoint equal to the windowed one. All
-	// preallocated (no per-round maps).
+	// Per-edge promises and the support bookkeeping that keeps the
+	// incremental fixpoint equal to a from-scratch one. All preallocated (no
+	// per-round maps).
 	prom     []units.Time // per-eid promise: bound[src] + lat (never if idle)
 	lastPub  []units.Time // bound value last published to out promises (-1 = never published)
 	sup      []int32      // eid supporting bound[i]; -1 own base, -2 open floor
@@ -182,8 +131,8 @@ type Cluster struct {
 	hDirty     []bool
 	hDirtyList []int32
 
-	// Posted-mailbox tracking (appointment mode): per source engine, the
-	// boxes it posted to since the last drain — single-writer per slice,
+	// Posted-mailbox tracking: per source engine, the boxes it posted to
+	// since the last drain — single-writer per slice,
 	// read by the coordinator after the round barrier.
 	postedBy   [][]int32
 	openMu     sync.Mutex
@@ -191,8 +140,8 @@ type Cluster struct {
 	drainList  []int32
 	firstDrain bool
 
-	// Stall accounting (both modes): engines pending but not runnable, and
-	// the inbound edge whose promise pins them.
+	// Stall accounting: engines pending but not runnable, and the inbound
+	// edge whose promise pins them.
 	blockedMark     []bool
 	blockedPos      []int32
 	blockedList     []int32
@@ -232,17 +181,16 @@ type edge struct {
 // executions covered. AvgWindowWidth is the lookahead-quality metric tracked
 // across PRs: wider windows mean less synchronization per simulated second.
 //
-// Every field except Mode and NullMessages is identical across sync modes
-// (the two modes run the same rounds); every field is identical across
-// worker counts.
+// Every field is identical across worker counts.
 type ClusterStats struct {
-	Mode          ClusterSyncMode // mode the last Run resolved to
-	Windows       uint64          // coordinator rounds
-	EngineWindows uint64          // per-engine window executions across all rounds
-	Advance       units.Time      // total simulated time advanced, summed over engines
+	// Mode is always SyncAppointment. It stays so benchmark reports that
+	// record the protocol next to each measurement keep their column.
+	Mode          ClusterSyncMode
+	Windows       uint64     // coordinator rounds
+	EngineWindows uint64     // per-engine window executions across all rounds
+	Advance       units.Time // total simulated time advanced, summed over engines
 	// NullMessages counts per-edge promise refreshes — the appointment
-	// protocol's null-message traffic. Zero in windowed mode, which keeps
-	// no promises.
+	// protocol's null-message traffic.
 	NullMessages uint64
 	// StalledEngineWindows counts engine-rounds spent blocked: an engine
 	// with pending events whose horizon had not yet passed its next event.
@@ -265,8 +213,8 @@ func (s ClusterStats) AvgWindowWidth() units.Time {
 
 // EdgeStall reports one directed link's stall account: how many blocked
 // engine-rounds it was the limiting inbound edge for, and the summed
-// base-minus-horizon gap over those rounds. Which edge gets the blame on an
-// exact promise tie is mode-dependent (the aggregate ClusterStats are not).
+// base-minus-horizon gap over those rounds. On an exact promise tie the blame
+// goes to whichever tied edge last set the receiver's horizon.
 type EdgeStall struct {
 	Src, Dst     int
 	StallWindows uint64
@@ -322,13 +270,6 @@ func (c *Cluster) Lookahead() units.Time { return c.lookahead }
 // Stats returns the windowing statistics accumulated by Run so far.
 func (c *Cluster) Stats() ClusterStats { return c.stats }
 
-// SetSyncMode selects the coordinator's synchronization strategy for the
-// next Run. The zero value (SyncAuto) resolves from the registered link
-// graph's edge density when Run starts; the resolved mode is reported in
-// Stats().Mode. Call before Run, not during it. Results are byte-identical
-// in every mode.
-func (c *Cluster) SetSyncMode(m ClusterSyncMode) { c.mode = m }
-
 // AttachChecker arms every engine's monotonicity witness plus the cluster's
 // lookahead laws: the global-window law for unattributed mailboxes and the
 // per-link law for attributed ones. A nil checker detaches.
@@ -375,7 +316,7 @@ type Mailbox struct {
 	la       *check.Lookahead // per-link law handle (attributed only)
 
 	mu     sync.Mutex
-	posted bool // has undrained mail (tracked in appointment mode)
+	posted bool // has undrained mail
 	seq    uint64
 	in     []mail
 }
@@ -444,7 +385,7 @@ func (b *Mailbox) Post(at units.Time, fn Handler) {
 	first := !b.posted
 	b.posted = true
 	b.mu.Unlock()
-	if first && b.cl.trackPosts {
+	if first {
 		b.cl.notePosted(b)
 	}
 }
@@ -481,31 +422,24 @@ func sortMail(ms []mail) {
 }
 
 // drain moves held messages into their destination engines' calendars at a
-// round boundary. Windowed mode sweeps every registered mailbox; appointment
-// mode visits only the boxes posted to since the last drain (collected from
-// the engines that ran — the only possible posters — plus the unattributed
-// list), sorted back into registration order so the delivery order stays the
-// deterministic subset of the windowed sweep. The first drain of a Run
-// always sweeps everything: setup code may have posted before tracking was
-// armed.
+// round boundary. It visits only the boxes posted to since the last drain
+// (collected from the engines that ran — the only possible posters — plus
+// the unattributed list), sorted back into registration order so the
+// delivery order stays the deterministic subset of a full sweep. The first
+// drain of a Run sweeps every registered mailbox: mail posted outside a
+// round — by setup code, before or between Runs — is on no list the
+// per-round drain reads.
 func (c *Cluster) drain() {
-	if c.trackPosts && !c.firstDrain {
+	if !c.firstDrain {
 		c.drainList = c.drainList[:0]
 		for _, i := range c.runnable { // last round's runnable: the only engines that ran
-			pb := c.postedBy[i]
-			if len(pb) == 0 {
-				continue
-			}
-			c.drainList = append(c.drainList, pb...)
-			c.postedBy[i] = pb[:0]
+			c.drainList = append(c.drainList, c.postedBy[i]...)
+			c.postedBy[i] = c.postedBy[i][:0]
 		}
 		c.openMu.Lock()
 		c.drainList = append(c.drainList, c.openPosted...)
 		c.openPosted = c.openPosted[:0]
 		c.openMu.Unlock()
-		if len(c.drainList) == 0 {
-			return
-		}
 		slices.Sort(c.drainList)
 		for _, bi := range c.drainList {
 			c.drainBox(c.boxes[bi])
@@ -515,15 +449,13 @@ func (c *Cluster) drain() {
 	for _, b := range c.boxes {
 		c.drainBox(b)
 	}
-	if c.trackPosts {
-		c.firstDrain = false
-		for i := range c.postedBy {
-			c.postedBy[i] = c.postedBy[i][:0]
-		}
-		c.openMu.Lock()
-		c.openPosted = c.openPosted[:0]
-		c.openMu.Unlock()
+	c.firstDrain = false
+	for i := range c.postedBy {
+		c.postedBy[i] = c.postedBy[i][:0]
 	}
+	c.openMu.Lock()
+	c.openPosted = c.openPosted[:0]
+	c.openMu.Unlock()
 }
 
 // drainBox empties one mailbox into its destination engine: (time, seq)
@@ -547,11 +479,11 @@ func (c *Cluster) drainBox(b *Mailbox) {
 		return
 	}
 	sortMail(ms)
-	// In appointment mode the receiver's last horizon was derived from this
-	// edge's promise as of the previous relax — exactly c.prom[b.eid] right
-	// now, since relaxation runs after the drain. A delivery before it means
-	// the sender broke its appointment.
-	appt := attributed && c.trackPosts && !c.firstDrain
+	// The receiver's last horizon was derived from this edge's promise as of
+	// the previous relax — exactly c.prom[b.eid] right now, since relaxation
+	// runs after the drain. A delivery before it means the sender broke its
+	// appointment. The first drain of a Run precedes any promise.
+	appt := attributed && !c.firstDrain
 	var promised units.Time
 	if appt {
 		promised = c.prom[b.eid]
@@ -582,8 +514,7 @@ func (c *Cluster) drainBox(b *Mailbox) {
 }
 
 // prepare sizes the per-round scratch state, rebuilds the link topology if
-// mailboxes were registered since the last Run, resolves the sync mode, and
-// marks every base stale.
+// mailboxes were registered since the last Run, and marks every base stale.
 func (c *Cluster) prepare() {
 	n := len(c.engines)
 	if c.base == nil {
@@ -652,16 +583,6 @@ func (c *Cluster) prepare() {
 		}
 		c.builtBoxes = len(c.boxes)
 	}
-	c.resolved = c.mode
-	if c.resolved == SyncAuto {
-		if n >= 8 && 3*c.nEdges <= n*(n-1) {
-			c.resolved = SyncAppointment
-		} else {
-			c.resolved = SyncWindowed
-		}
-	}
-	c.trackPosts = c.resolved == SyncAppointment
-	c.stats.Mode = c.resolved
 	// Reset the incremental state: every engine re-seeds on the first round
 	// (base forced to an impossible value so refreshBase flags it changed),
 	// every promise is vacuous until first published, and the posted/blocked
@@ -710,8 +631,8 @@ func (c *Cluster) markDirty(i int32) {
 // refreshBase re-reads NextAt for every engine that ran or received mail
 // since the last round and pushes the new values through the min tree — the
 // batched earliest-event reduction: engines that didn't move cost nothing.
-// Engines whose base actually moved are recorded for the appointment mode's
-// incremental relaxation.
+// Engines whose base actually moved are recorded for the incremental
+// relaxation.
 func (c *Cluster) refreshBase() {
 	for _, i := range c.dirtyIdx {
 		c.dirty[i] = false
@@ -722,74 +643,10 @@ func (c *Cluster) refreshBase() {
 		if at != c.base[i] {
 			c.base[i] = at
 			c.baseTree.update(int(i), at)
-			if c.trackPosts {
-				c.changed = append(c.changed, i)
-			}
+			c.changed = append(c.changed, i)
 		}
 	}
 	c.dirtyIdx = c.dirtyIdx[:0]
-}
-
-// computeWindows derives this round's per-engine bounds B, horizons H, and
-// the runnable set from scratch (SyncWindowed), given the globally earliest
-// pending event baseMin.
-//
-// The bound pass is a multi-source Dijkstra: seed every engine with
-// min(base, open-inbox floor) and relax through outbound links, so B_j ends
-// at the earliest time any pending event anywhere can influence j. The
-// horizon pass then takes, per engine, the minimum over inbound links of
-// B_source + latency (floored by the open-inbox window), which is the first
-// instant a not-yet-posted message could demand delivery.
-func (c *Cluster) computeWindows(baseMin units.Time) {
-	n := len(c.engines)
-	open := baseMin + c.lookahead // unattributed floor; also this round's legacy barrier
-	c.heap.reset()
-	for i := 0; i < n; i++ {
-		b := c.base[i]
-		if c.openInbox[i] && open < b {
-			b = open
-		}
-		c.bound[i] = b
-		if b != never {
-			c.heap.push(djItem{t: b, eng: int32(i)})
-		}
-	}
-	for c.heap.len() > 0 {
-		it := c.heap.pop()
-		if it.t > c.bound[it.eng] {
-			continue // stale entry superseded by a tighter bound
-		}
-		for _, e := range c.out[it.eng] {
-			if nb := it.t + e.lat; nb < c.bound[e.peer] {
-				c.bound[e.peer] = nb
-				c.heap.push(djItem{t: nb, eng: e.peer})
-			}
-		}
-	}
-	c.runnable = c.runnable[:0]
-	for i := 0; i < n; i++ {
-		h := never
-		hs := int32(-1)
-		for _, e := range c.in[i] {
-			if b := c.bound[e.peer]; b != never && b+e.lat < h {
-				h = b + e.lat
-				hs = e.eid
-			}
-		}
-		if c.openInbox[i] && open < h {
-			h, hs = open, -2
-		}
-		c.horizons[i] = h
-		c.hsup[i] = hs
-		if c.base[i] < h {
-			c.runnable = append(c.runnable, int32(i))
-			c.prevNow[i] = c.engines[i].Now()
-			c.setBlocked(int32(i), false)
-		} else {
-			c.setBlocked(int32(i), c.base[i] != never && h != never)
-		}
-	}
-	c.barrier = open
 }
 
 // addAffected puts engine i into the affected set: its bound must be
@@ -893,8 +750,9 @@ func (c *Cluster) settleNever(i int32) {
 	}
 }
 
-// computeWindowsAppointment maintains the same bounds, horizons and runnable
-// set as computeWindows, incrementally (SyncAppointment).
+// computeWindowsAppointment derives this round's per-engine bounds B,
+// horizons H and runnable set, given the globally earliest pending event
+// baseMin, by updating the previous round's fixpoint in place.
 //
 // The affected set A is the support closure of the engines whose base moved
 // (plus every open-inbox engine when the global floor moved): any engine
@@ -982,7 +840,7 @@ func (c *Cluster) computeWindowsAppointment(baseMin units.Time) {
 	c.hDirtyList = c.hDirtyList[:0]
 	c.barrier = open
 	// Re-evaluate exactly the engines whose base or horizon moved, in index
-	// order (matching the windowed full scan).
+	// order (matching a full scan).
 	slices.Sort(c.candList)
 	c.runnable = c.runnable[:0]
 	for _, i := range c.candList {
@@ -1090,7 +948,6 @@ func (c *Cluster) Run(workers int) units.Time {
 		c.startWorkers(workers)
 		defer c.stopWorkers()
 	}
-	appointment := c.resolved == SyncAppointment
 	for {
 		c.drain()
 		c.refreshBase()
@@ -1098,11 +955,7 @@ func (c *Cluster) Run(workers int) units.Time {
 		if baseMin == never {
 			return c.horizon()
 		}
-		if appointment {
-			c.computeWindowsAppointment(baseMin)
-		} else {
-			c.computeWindows(baseMin)
-		}
+		c.computeWindowsAppointment(baseMin)
 		if len(c.runnable) == 0 {
 			// Unreachable: the engine holding baseMin always has a horizon
 			// strictly beyond it (positive link latencies). Guard anyway so a

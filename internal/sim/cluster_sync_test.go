@@ -12,41 +12,13 @@ import (
 // Appointment (null-message) synchronization
 // ---------------------------------------------------------------------------
 
-func TestParseSyncMode(t *testing.T) {
-	cases := map[string]ClusterSyncMode{
-		"auto": SyncAuto, "": SyncAuto,
-		"windowed":    SyncWindowed,
-		"appointment": SyncAppointment,
-	}
-	for s, want := range cases {
-		got, err := ParseSyncMode(s)
-		if err != nil || got != want {
-			t.Errorf("ParseSyncMode(%q) = %v, %v; want %v", s, got, err, want)
-		}
-	}
-	if _, err := ParseSyncMode("bogus"); err == nil {
-		t.Error("ParseSyncMode(bogus) did not fail")
-	}
-	for _, m := range []ClusterSyncMode{SyncAuto, SyncWindowed, SyncAppointment} {
-		if m.String() == "" {
-			t.Errorf("mode %d has empty String()", m)
-		}
-	}
-}
-
-// torusTraffic drives a seeded pseudo-random workload over a rows×cols torus
-// of attributed links (4 outbound links per device, heterogeneous latencies)
-// under the given sync mode and worker count, returning the merged log and
-// the run's stats. The log and every stat except Mode/NullMessages must be
-// identical across modes and worker counts.
-func torusTraffic(t *testing.T, mode ClusterSyncMode, workers int, seed int64) (string, ClusterStats) {
-	t.Helper()
+// newTorusTraffic builds a seeded pseudo-random workload over a rows×cols
+// torus of attributed links (4 outbound links per device, heterogeneous
+// latencies), seeded but not yet run.
+func newTorusTraffic(seed int64) (*Cluster, *ringLog) {
 	const rows, cols = 4, 4
 	const devs = rows * cols
-	chk := check.New()
 	cl := NewCluster(devs, 10)
-	cl.AttachChecker(chk)
-	cl.SetSyncMode(mode)
 	log := &ringLog{perDev: make([][]string, devs)}
 	id := func(r, c int) int { return ((r+rows)%rows)*cols + (c+cols)%cols }
 	// Four outbound links per device in E/W/S/N order, latency varying by
@@ -85,27 +57,20 @@ func torusTraffic(t *testing.T, mode ClusterSyncMode, workers int, seed int64) (
 		}
 	}
 	// A minority of devices start active so runnable sets stay sparse —
-	// the regime the appointment mode is built for.
+	// the regime the appointment protocol is built for.
 	for d := 0; d < devs; d += 3 {
 		cl.Engine(d).At(units.Time(rng.Intn(25)), burst(d, 28, d%4))
 	}
-	cl.Run(workers)
-	if !chk.Ok() {
-		t.Fatalf("mode=%v workers=%d: honest torus model flagged: %v", mode, workers, chk.Violations())
-	}
-	return log.merged(), cl.Stats()
+	return cl, log
 }
 
-// starTraffic is the same probe over a hub-and-spoke graph with a 6× slower
-// hub uplink on half the leaves — strongly asymmetric per-edge latencies.
-func starTraffic(t *testing.T, mode ClusterSyncMode, workers int, seed int64) (string, ClusterStats) {
-	t.Helper()
+// newStarTraffic is the same probe over a hub-and-spoke graph with a 6×
+// slower hub uplink on half the leaves — strongly asymmetric per-edge
+// latencies.
+func newStarTraffic(seed int64) (*Cluster, *ringLog) {
 	const leaves = 9
 	const devs = leaves + 1 // device 0 is the hub
-	chk := check.New()
 	cl := NewCluster(devs, 15)
-	cl.AttachChecker(chk)
-	cl.SetSyncMode(mode)
 	log := &ringLog{perDev: make([][]string, devs)}
 	down := make([]*Mailbox, devs) // hub -> leaf
 	up := make([]*Mailbox, devs)   // leaf -> hub
@@ -138,106 +103,40 @@ func starTraffic(t *testing.T, mode ClusterSyncMode, workers int, seed int64) (s
 		}
 	}
 	cl.Engine(0).At(units.Time(rng.Intn(10)), bounce(0, 40))
-	cl.Run(workers)
-	if !chk.Ok() {
-		t.Fatalf("mode=%v workers=%d: honest star model flagged: %v", mode, workers, chk.Violations())
-	}
-	return log.merged(), cl.Stats()
+	return cl, log
 }
 
-// TestClusterAppointmentMatchesWindowed is the cross-mode oracle: on every
-// probe topology, forcing SyncAppointment must reproduce SyncWindowed's log
-// byte-for-byte at workers 1/2/4, and every aggregate stat except Mode and
-// NullMessages (which are mode-defined) must coincide — the two coordinators
-// compute the same per-round least fixpoint.
+// TestClusterAppointmentMatchesWindowed checks worker-count independence
+// against the windowed reference: on the torus and star probes, the
+// reference run is stepped inline with the full-recompute (windowed) oracle
+// checked after every round, and Run at workers 1/2/4 must reproduce its
+// log byte for byte and every aggregate stat.
 func TestClusterAppointmentMatchesWindowed(t *testing.T) {
 	probes := []struct {
-		name string
-		run  func(t *testing.T, mode ClusterSyncMode, workers int, seed int64) (string, ClusterStats)
+		name  string
+		build trafficBuilder
 	}{
-		{"torus", torusTraffic},
-		{"star", starTraffic},
-	}
-	normalize := func(st ClusterStats) ClusterStats {
-		st.Mode = SyncAuto
-		st.NullMessages = 0
-		return st
+		{"torus", newTorusTraffic},
+		{"star", newStarTraffic},
 	}
 	for _, p := range probes {
 		for seed := int64(1); seed <= 3; seed++ {
-			wantLog, wantStats := p.run(t, SyncWindowed, 1, seed)
+			wantLog, wantStats := runTraffic(t, p.build, seed, runWithOracle)
 			if wantLog == "" {
 				t.Fatalf("%s seed=%d: empty reference log", p.name, seed)
 			}
-			for _, mode := range []ClusterSyncMode{SyncWindowed, SyncAppointment} {
-				for _, workers := range []int{1, 2, 4} {
-					gotLog, gotStats := p.run(t, mode, workers, seed)
-					if gotLog != wantLog {
-						t.Errorf("%s seed=%d mode=%v workers=%d: log diverged from windowed/1",
-							p.name, seed, mode, workers)
-					}
-					if gotStats.Mode != mode && mode != SyncAuto {
-						t.Errorf("%s seed=%d: Stats().Mode = %v, want %v", p.name, seed, gotStats.Mode, mode)
-					}
-					if got, want := normalize(gotStats), normalize(wantStats); got != want {
-						t.Errorf("%s seed=%d mode=%v workers=%d: stats diverged\n got: %+v\nwant: %+v",
-							p.name, seed, mode, workers, got, want)
-					}
+			for _, workers := range []int{1, 2, 4} {
+				gotLog, gotStats := runTraffic(t, p.build, seed, runWorkers(workers))
+				if gotLog != wantLog {
+					t.Errorf("%s seed=%d workers=%d: log diverged from the oracle-checked reference",
+						p.name, seed, workers)
+				}
+				if gotStats != wantStats {
+					t.Errorf("%s seed=%d workers=%d: stats diverged\n got: %+v\nwant: %+v",
+						p.name, seed, workers, gotStats, wantStats)
 				}
 			}
 		}
-	}
-}
-
-// TestClusterSyncAutoSelection pins the density rule: sparse graphs (ring)
-// resolve to appointment, dense graphs (all-to-all) and small clusters stay
-// windowed.
-func TestClusterSyncAutoSelection(t *testing.T) {
-	run := func(devs int, wire func(cl *Cluster) []*Mailbox) ClusterSyncMode {
-		cl := NewCluster(devs, 10)
-		boxes := wire(cl)
-		for d := 0; d < devs; d++ {
-			d := d
-			eng := cl.Engine(d)
-			eng.At(units.Time(d), func() {
-				boxes[d].Post(eng.Now()+10, func() {})
-			})
-		}
-		cl.Run(1)
-		return cl.Stats().Mode
-	}
-	ring := func(cl *Cluster) []*Mailbox {
-		n := len(cl.Engines())
-		boxes := make([]*Mailbox, n)
-		for d := 0; d < n; d++ {
-			boxes[d] = cl.LinkMailbox(d, (d+1)%n, 10)
-		}
-		return boxes
-	}
-	dense := func(cl *Cluster) []*Mailbox {
-		n := len(cl.Engines())
-		boxes := make([]*Mailbox, n)
-		for d := 0; d < n; d++ {
-			for p := 0; p < n; p++ {
-				if p == d {
-					continue
-				}
-				b := cl.LinkMailbox(d, p, 10)
-				if boxes[d] == nil {
-					boxes[d] = b
-				}
-			}
-		}
-		return boxes
-	}
-	if got := run(8, ring); got != SyncAppointment {
-		t.Errorf("8-device ring resolved to %v, want appointment", got)
-	}
-	if got := run(8, dense); got != SyncWindowed {
-		t.Errorf("8-device all-to-all resolved to %v, want windowed (density rule)", got)
-	}
-	if got := run(4, ring); got != SyncWindowed {
-		t.Errorf("4-device ring resolved to %v, want windowed (size floor)", got)
 	}
 }
 
@@ -245,13 +144,12 @@ func TestClusterSyncAutoSelection(t *testing.T) {
 // steady-state allocation behaviour: promise slots, the affected set, the
 // candidate list, the posted-box tracking and the blocked list are all
 // preallocated, so rounds of drain + incremental relaxation + dispatch must
-// not allocate. Counterpart of TestClusterDrainAllocs (which now pins the
-// auto→appointment ring; here the mode is forced to make intent explicit).
+// not allocate. Counterpart of TestClusterDrainAllocs, which pins the same
+// loop over unattributed mailboxes.
 func TestClusterAppointmentDrainAllocs(t *testing.T) {
 	const devs = 8
 	const hopsPerDev = 64
 	cl := NewCluster(devs, 10)
-	cl.SetSyncMode(SyncAppointment)
 	boxes := make([]*Mailbox, devs)
 	for d := 0; d < devs; d++ {
 		boxes[d] = cl.LinkMailbox(d, (d+1)%devs, 10)
@@ -281,9 +179,6 @@ func TestClusterAppointmentDrainAllocs(t *testing.T) {
 	}
 	seed()
 	cl.Run(1) // warm-up: grow every backing array once
-	if cl.Stats().Mode != SyncAppointment {
-		t.Fatalf("mode = %v, want appointment", cl.Stats().Mode)
-	}
 	if cl.Stats().NullMessages == 0 {
 		t.Fatal("appointment run published no promises")
 	}
@@ -304,7 +199,6 @@ func TestClusterPromiseLawViolationDetected(t *testing.T) {
 	chk := check.New()
 	cl := NewCluster(2, 10)
 	cl.AttachChecker(chk)
-	cl.SetSyncMode(SyncAppointment)
 	box := cl.LinkMailbox(0, 1, 100)
 	// Keep engine 1 alive across rounds so the lying delivery is drained.
 	eng1 := cl.Engine(1)
@@ -339,52 +233,50 @@ func TestClusterPromiseLawViolationDetected(t *testing.T) {
 // slow inbound link, all stall time lands on that edge, and the aggregate
 // matches ClusterStats.
 func TestClusterEdgeStalls(t *testing.T) {
-	for _, mode := range []ClusterSyncMode{SyncWindowed, SyncAppointment} {
-		cl := NewCluster(2, 10)
-		cl.SetSyncMode(mode)
-		box := cl.LinkMailbox(0, 1, 50)
-		eng0 := cl.Engine(0)
-		n := 20
-		var drive Handler
-		drive = func() {
-			box.Post(eng0.Now()+50, func() {})
-			if n--; n > 0 {
-				eng0.After(60, drive)
-			}
+	cl := NewCluster(2, 10)
+	box := cl.LinkMailbox(0, 1, 50)
+	eng0 := cl.Engine(0)
+	n := 20
+	var drive Handler
+	drive = func() {
+		box.Post(eng0.Now()+50, func() {})
+		if n--; n > 0 {
+			eng0.After(60, drive)
 		}
-		eng0.At(0, drive)
-		// Engine 1 has distant local work, so it repeatedly blocks on the
-		// 0->1 link's promise before its own next event.
-		cl.Engine(1).At(100000, func() {})
-		cl.Run(1)
-		st := cl.Stats()
-		if st.StalledEngineWindows == 0 || st.StallTime == 0 {
-			t.Fatalf("mode=%v: no stalls recorded: %+v", mode, st)
-		}
-		edges := cl.EdgeStalls()
-		if len(edges) != 1 {
-			t.Fatalf("mode=%v: EdgeStalls = %+v, want exactly the 0->1 edge", mode, edges)
-		}
-		e := edges[0]
-		if e.Src != 0 || e.Dst != 1 {
-			t.Errorf("mode=%v: stall attributed to edge %d->%d, want 0->1", mode, e.Src, e.Dst)
-		}
-		if e.StallWindows != st.StalledEngineWindows || e.StallTime != st.StallTime {
-			t.Errorf("mode=%v: per-edge stalls (%d, %v) disagree with aggregate (%d, %v)",
-				mode, e.StallWindows, e.StallTime, st.StalledEngineWindows, st.StallTime)
-		}
+	}
+	eng0.At(0, drive)
+	// Engine 1 has distant local work, so it repeatedly blocks on the 0->1
+	// link's promise before its own next event.
+	cl.Engine(1).At(100000, func() {})
+	cl.Run(1)
+	st := cl.Stats()
+	if st.StalledEngineWindows == 0 || st.StallTime == 0 {
+		t.Fatalf("no stalls recorded: %+v", st)
+	}
+	edges := cl.EdgeStalls()
+	if len(edges) != 1 {
+		t.Fatalf("EdgeStalls = %+v, want exactly the 0->1 edge", edges)
+	}
+	e := edges[0]
+	if e.Src != 0 || e.Dst != 1 {
+		t.Errorf("stall attributed to edge %d->%d, want 0->1", e.Src, e.Dst)
+	}
+	if e.StallWindows != st.StalledEngineWindows || e.StallTime != st.StallTime {
+		t.Errorf("per-edge stalls (%d, %v) disagree with aggregate (%d, %v)",
+			e.StallWindows, e.StallTime, st.StalledEngineWindows, st.StallTime)
 	}
 }
 
 // TestClusterAppointmentStress hammers the promise-refresh path under
 // maximal worker counts: a torus where activity migrates between sparse
 // device subsets, so promises are refreshed, go quiescent (never), and are
-// re-established across many rounds. Under -race this is the stress test
-// the ISSUE names; determinism against the windowed reference rides along.
+// re-established across many rounds. Under -race this is the promise
+// path's stress test; determinism against the oracle-checked reference rides
+// along.
 func TestClusterAppointmentStress(t *testing.T) {
-	wantLog, _ := torusTraffic(t, SyncWindowed, 1, 99)
+	wantLog, _ := runTraffic(t, newTorusTraffic, 99, runWithOracle)
 	for _, workers := range []int{8, 16} {
-		gotLog, st := torusTraffic(t, SyncAppointment, workers, 99)
+		gotLog, st := runTraffic(t, newTorusTraffic, 99, runWorkers(workers))
 		if gotLog != wantLog {
 			t.Errorf("workers=%d: appointment log diverged under stress", workers)
 		}

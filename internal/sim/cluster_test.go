@@ -159,6 +159,14 @@ func TestClusterMatchesSequentialReference(t *testing.T) {
 // — and returns the merged log. The same seed must produce the same log at
 // every worker count.
 func randomTraffic(workers int, seed int64) string {
+	cl, log := newRandomTraffic(seed)
+	cl.Run(workers)
+	return log.merged()
+}
+
+// newRandomTraffic builds randomTraffic's cluster, all unattributed
+// mailboxes, with the workload seeded but not yet run.
+func newRandomTraffic(seed int64) (*Cluster, *ringLog) {
 	const devs = 6
 	const lookahead = units.Time(20)
 	cl := NewCluster(devs, lookahead)
@@ -186,8 +194,7 @@ func randomTraffic(workers int, seed int64) string {
 	for d := 0; d < devs; d++ {
 		cl.Engine(d).At(units.Time(rng.Intn(40)), burst(d, 25))
 	}
-	cl.Run(workers)
-	return log.merged()
+	return cl, log
 }
 
 func TestClusterDeterministicAcrossWorkers(t *testing.T) {
@@ -307,6 +314,14 @@ func TestClusterWindowLoopAllocs(t *testing.T) {
 // workload where every hop uses its own link's latency, and returns the
 // merged log.
 func linkRing(workers int, lats []units.Time, lookahead units.Time, hops int) string {
+	cl, log := newLinkRing(lats, lookahead, hops)
+	cl.Run(workers)
+	return log.merged()
+}
+
+// newLinkRing builds linkRing's cluster with the workload seeded but not
+// yet run.
+func newLinkRing(lats []units.Time, lookahead units.Time, hops int) (*Cluster, *ringLog) {
 	devs := len(lats)
 	cl := NewCluster(devs, lookahead)
 	log := &ringLog{perDev: make([][]string, devs)}
@@ -342,8 +357,7 @@ func linkRing(workers int, lats []units.Time, lookahead units.Time, hops int) st
 		}
 		eng.At(units.Time(d), tick)
 	}
-	cl.Run(workers)
-	return log.merged()
+	return cl, log
 }
 
 // TestClusterPerLinkHorizonsDeterministic drives a ring with strongly
@@ -479,17 +493,17 @@ func TestClusterLinkLawHonestModelClean(t *testing.T) {
 }
 
 // TestClusterDrainAllocs pins the coordination layer's steady-state
-// allocation behaviour with live cross-engine mail: after warm-up, rounds of
-// drain + horizon computation + dispatch must not allocate — mailbox backing
-// arrays, the Dijkstra heap, the runnable set and the dirty list are all
-// reused.
+// allocation behaviour with live cross-engine mail over unattributed
+// mailboxes: after warm-up, rounds of drain + horizon computation + dispatch
+// must not allocate — mailbox backing arrays, the shared posted-box list,
+// the Dijkstra heap, the runnable set and the dirty list are all reused.
 func TestClusterDrainAllocs(t *testing.T) {
 	const devs = 8
 	const hopsPerDev = 64
 	cl := NewCluster(devs, 10)
 	boxes := make([]*Mailbox, devs)
 	for d := 0; d < devs; d++ {
-		boxes[d] = cl.LinkMailbox(d, (d+1)%devs, 10)
+		boxes[d] = cl.Mailbox((d + 1) % devs)
 	}
 	// Handlers are preallocated once: each device forwards a fixed number of
 	// tokens, re-arming itself across runs via the counts array.

@@ -105,16 +105,6 @@ type FusedOptions struct {
 	// (policySkip). Falls back to the sequential path when LinkLatency is
 	// zero, since a zero lookahead admits no conservative window.
 	ParWorkers int
-	// SyncMode selects the cluster coordinator's synchronization strategy
-	// for the parallel multi-device path (ParWorkers > 0): windowed
-	// full-recompute rounds, appointment-based (null-message) incremental
-	// rounds, or — the zero default — automatic selection from the
-	// topology's edge density. Both modes compute the identical per-round
-	// horizon fixpoint, so results are byte-identical across every mode and
-	// worker count; like ParWorkers it trades wall-clock time only and is
-	// excluded from the experiment memo key (policySkip). The sequential
-	// path (ParWorkers = 0) ignores it.
-	SyncMode sim.ClusterSyncMode
 	// ClusterStats, if non-nil, receives the scheduler's windowing summary
 	// after an explicit multi-device run on the cluster path (ParWorkers > 0
 	// with a positive link latency): round count, engine-window executions,

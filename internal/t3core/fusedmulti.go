@@ -137,7 +137,6 @@ func RunFusedGEMMRSMultiDevice(o FusedOptions) (MultiDeviceResult, error) {
 	var err error
 	if parallel {
 		r.cl = sim.NewCluster(n, minLat)
-		r.cl.SetSyncMode(o.SyncMode)
 		r.cl.AttachChecker(o.Check)
 		r.topo, err = o.Topo.BuildCluster(r.cl)
 	} else {
@@ -198,8 +197,7 @@ func RunFusedGEMMRSMultiDevice(o FusedOptions) (MultiDeviceResult, error) {
 		if o.Metrics != nil {
 			// Coordination-layer summary for the -metrics JSON: how the
 			// cluster synchronized, not what the model computed. Values are
-			// identical at every worker count; NullMessages is zero in
-			// windowed mode by definition.
+			// identical at every worker count.
 			st := r.cl.Stats()
 			cs := o.Metrics.Scope("cluster")
 			cs.Counter("windows").Add(int64(st.Windows))
@@ -208,7 +206,6 @@ func RunFusedGEMMRSMultiDevice(o FusedOptions) (MultiDeviceResult, error) {
 			cs.Counter("null_messages").Add(int64(st.NullMessages))
 			cs.Counter("stalled_engine_windows").Add(int64(st.StalledEngineWindows))
 			cs.Counter("stall_ps").Add(int64(st.StallTime))
-			cs.Counter("sync_mode").Add(int64(st.Mode))
 		}
 	} else {
 		r.eng.Run()

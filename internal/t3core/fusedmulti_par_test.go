@@ -271,3 +271,100 @@ func TestMultiDeviceParallelStress(t *testing.T) {
 		}
 	}
 }
+
+// TestMultiDeviceTopoWorkersMatchSequential is the t3core-level oracle for
+// the cluster coordinator: on ring, torus and hierarchy graphs the cluster
+// run must reproduce the sequential shared-engine result exactly — every
+// field, every device — at workers 1/2/4/8, with the invariant checker
+// (including the per-edge promise law) clean throughout.
+func TestMultiDeviceTopoWorkersMatchSequential(t *testing.T) {
+	link := interconnect.DefaultConfig()
+	inter := link
+	inter.LinkBandwidth = link.LinkBandwidth / 3
+	inter.LinkLatency = 4 * link.LinkLatency
+	specs := []interconnect.TopoSpec{
+		{}, // zero spec: the default ring
+		interconnect.RingTopo(8, link),
+		interconnect.TorusTopo(2, 4, link),
+		interconnect.HierarchicalTopo(2, 4, link, inter),
+	}
+	for _, spec := range specs {
+		o := fusedOpts(t, 8)
+		o.Topo = spec
+		want, err := RunFusedGEMMRSMultiDevice(o)
+		if err != nil {
+			t.Fatalf("%v: %v", spec.Kind, err)
+		}
+		for _, workers := range []int{1, 2, 4, 8} {
+			po := o
+			po.ParWorkers = workers
+			chk := check.New()
+			po.Check = chk
+			var st sim.ClusterStats
+			po.ClusterStats = &st
+			got, err := RunFusedGEMMRSMultiDevice(po)
+			if err != nil {
+				t.Fatalf("%v workers=%d: %v", spec.Kind, workers, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%v workers=%d: result diverged from sequential", spec.Kind, workers)
+			}
+			if !chk.Ok() {
+				t.Errorf("%v workers=%d: violations: %v", spec.Kind, workers, chk.Violations())
+			}
+			if st.NullMessages == 0 {
+				t.Errorf("%v workers=%d: cluster run published no promises", spec.Kind, workers)
+			}
+		}
+	}
+}
+
+// TestMultiDeviceSyncStatsAgree pins the stats contract: the coordination
+// summary — rounds, engine-windows, simulated advance, null messages, stall
+// accounting — is identical at every worker count.
+func TestMultiDeviceSyncStatsAgree(t *testing.T) {
+	o := fusedOpts(t, 8)
+	o.Topo = interconnect.TorusTopo(2, 4, interconnect.DefaultConfig())
+	stats := func(workers int) sim.ClusterStats {
+		po := o
+		po.ParWorkers = workers
+		var st sim.ClusterStats
+		po.ClusterStats = &st
+		if _, err := RunFusedGEMMRSMultiDevice(po); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	want := stats(1)
+	if want.NullMessages == 0 {
+		t.Error("cluster run counted no null messages")
+	}
+	for _, workers := range []int{2, 4} {
+		if got := stats(workers); got != want {
+			t.Errorf("workers=%d: coordination stats diverged\n got: %+v\nwant: %+v", workers, got, want)
+		}
+	}
+}
+
+// TestMultiDeviceAppointmentStress reruns the full-model stress on a torus
+// with maximal workers — the -race exercise for the promise-refresh path
+// through the whole t3core datapath.
+func TestMultiDeviceAppointmentStress(t *testing.T) {
+	o := parOptions(t, 512, 512, 128, 8)
+	o.Topo = interconnect.TorusTopo(2, 4, interconnect.DefaultConfig())
+	want, err := RunFusedGEMMRSMultiDevice(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rep := 0; rep < 3; rep++ {
+		po := o
+		po.ParWorkers = 8
+		got, err := RunFusedGEMMRSMultiDevice(po)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("rep=%d: appointment stress run diverged", rep)
+		}
+	}
+}

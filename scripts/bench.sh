@@ -39,14 +39,12 @@
 # job, independent of the host's core count (and exactly repeatable, unlike
 # the timings).
 #
-# The sync-mode section compares the cluster's two coordination protocols —
-# windowed (global round barrier, every mailbox drained every round) and
-# appointment (per-edge null-message promises, posted mailboxes only) — on
-# the 64- and 256-device torus and hierarchy shapes plus the 256-device
-# ring, again interleaved whole cycles with per-configuration minima, and
-# records the appointment runs' deterministic null-message counts. The
-# 256-device ring also anchors the largest scaling point: sequential vs
-# 4 workers in each sync mode.
+# The topology section times the cluster at 4 workers on the 64- and
+# 256-device torus and hierarchy shapes plus the 256-device ring, again
+# interleaved whole cycles with per-configuration minima, and records each
+# run's deterministic null-message count (the coordinator's per-edge promise
+# refreshes). The 256-device ring also anchors the largest scaling point:
+# sequential vs 4 workers.
 #
 # Usage:
 #   scripts/bench.sh [output.json]
@@ -62,8 +60,8 @@ micro_benchtime=${MICRO_BENCHTIME:-1000x}
 scaling_benchtime=${SCALING_BENCHTIME:-3x}
 scaling64_benchtime=${SCALING64_BENCHTIME:-1x}
 scaling_count=${SCALING_COUNT:-3}
-sync_benchtime=${SYNC_BENCHTIME:-1x}
-sync_count=${SYNC_COUNT:-5}
+shape_benchtime=${SHAPE_BENCHTIME:-1x}
+shape_count=${SHAPE_COUNT:-5}
 
 workdir=$(mktemp -d)
 trap 'rm -rf "$workdir"' EXIT
@@ -92,13 +90,13 @@ for _ in $(seq "$scaling_count"); do
         -test.benchtime "$scaling64_benchtime" | tee -a "$scaling64_raw"
 done
 
-echo "== sync modes: windowed vs appointment, 64/256-device shapes (-benchtime $sync_benchtime, best of $sync_count interleaved) =="
-sync_raw="$workdir/sync.txt"
-: >"$sync_raw"
-for _ in $(seq "$sync_count"); do
+echo "== topology shapes: 64/256-device graphs at 4 workers (-benchtime $shape_benchtime, best of $shape_count interleaved) =="
+shape_raw="$workdir/shapes.txt"
+: >"$shape_raw"
+for _ in $(seq "$shape_count"); do
     "$scaling_bin" -test.run '^$' \
-        -test.bench 'BenchmarkMultiDevice(64(Torus|Hier)|256(Ring|Torus|Hier))(Windowed|Appointment)4$|BenchmarkMultiDevice256Sequential$' \
-        -test.benchtime "$sync_benchtime" | tee -a "$sync_raw"
+        -test.bench 'BenchmarkMultiDevice(64(Torus|Hier)|256(Ring|Torus|Hier))4$|BenchmarkMultiDevice256Sequential$' \
+        -test.benchtime "$shape_benchtime" | tee -a "$shape_raw"
 done
 
 # bench_col FILE BENCH UNIT: the minimum value reported just before UNIT
@@ -127,29 +125,24 @@ win_width=$(bench_col "$scaling64_raw" BenchmarkMultiDevice64Workers8 window-ps/
 echo "64-device scaling ns/op: seq=$seq64_ns w2=$w2_64_ns w4=$w4_64_ns w8=$w8_64_ns" \
      "(windows=$win_count avg_width=${win_width}ps)"
 
-t64_w_ns=$(bench_col "$sync_raw" BenchmarkMultiDevice64TorusWindowed4 ns/op)
-t64_a_ns=$(bench_col "$sync_raw" BenchmarkMultiDevice64TorusAppointment4 ns/op)
-t64_a_null=$(bench_col "$sync_raw" BenchmarkMultiDevice64TorusAppointment4 nullmsgs/op)
-h64_w_ns=$(bench_col "$sync_raw" BenchmarkMultiDevice64HierWindowed4 ns/op)
-h64_a_ns=$(bench_col "$sync_raw" BenchmarkMultiDevice64HierAppointment4 ns/op)
-h64_a_null=$(bench_col "$sync_raw" BenchmarkMultiDevice64HierAppointment4 nullmsgs/op)
-r256_w_ns=$(bench_col "$sync_raw" BenchmarkMultiDevice256RingWindowed4 ns/op)
-r256_a_ns=$(bench_col "$sync_raw" BenchmarkMultiDevice256RingAppointment4 ns/op)
-r256_a_null=$(bench_col "$sync_raw" BenchmarkMultiDevice256RingAppointment4 nullmsgs/op)
-t256_w_ns=$(bench_col "$sync_raw" BenchmarkMultiDevice256TorusWindowed4 ns/op)
-t256_a_ns=$(bench_col "$sync_raw" BenchmarkMultiDevice256TorusAppointment4 ns/op)
-t256_a_null=$(bench_col "$sync_raw" BenchmarkMultiDevice256TorusAppointment4 nullmsgs/op)
-h256_w_ns=$(bench_col "$sync_raw" BenchmarkMultiDevice256HierWindowed4 ns/op)
-h256_a_ns=$(bench_col "$sync_raw" BenchmarkMultiDevice256HierAppointment4 ns/op)
-h256_a_null=$(bench_col "$sync_raw" BenchmarkMultiDevice256HierAppointment4 nullmsgs/op)
-seq256_ns=$(bench_col "$sync_raw" BenchmarkMultiDevice256Sequential ns/op)
-echo "sync modes ns/op (windowed vs appointment):"
-echo "  64-torus:  $t64_w_ns vs $t64_a_ns  (null msgs $t64_a_null)"
-echo "  64-hier:   $h64_w_ns vs $h64_a_ns  (null msgs $h64_a_null)"
-echo "  256-ring:  $r256_w_ns vs $r256_a_ns  (null msgs $r256_a_null)"
-echo "  256-torus: $t256_w_ns vs $t256_a_ns  (null msgs $t256_a_null)"
-echo "  256-hier:  $h256_w_ns vs $h256_a_ns  (null msgs $h256_a_null)"
-echo "256-device ring scaling ns/op: seq=$seq256_ns w4(windowed)=$r256_w_ns w4(appointment)=$r256_a_ns"
+t64_ns=$(bench_col "$shape_raw" BenchmarkMultiDevice64Torus4 ns/op)
+t64_null=$(bench_col "$shape_raw" BenchmarkMultiDevice64Torus4 nullmsgs/op)
+h64_ns=$(bench_col "$shape_raw" BenchmarkMultiDevice64Hier4 ns/op)
+h64_null=$(bench_col "$shape_raw" BenchmarkMultiDevice64Hier4 nullmsgs/op)
+r256_ns=$(bench_col "$shape_raw" BenchmarkMultiDevice256Ring4 ns/op)
+r256_null=$(bench_col "$shape_raw" BenchmarkMultiDevice256Ring4 nullmsgs/op)
+t256_ns=$(bench_col "$shape_raw" BenchmarkMultiDevice256Torus4 ns/op)
+t256_null=$(bench_col "$shape_raw" BenchmarkMultiDevice256Torus4 nullmsgs/op)
+h256_ns=$(bench_col "$shape_raw" BenchmarkMultiDevice256Hier4 ns/op)
+h256_null=$(bench_col "$shape_raw" BenchmarkMultiDevice256Hier4 nullmsgs/op)
+seq256_ns=$(bench_col "$shape_raw" BenchmarkMultiDevice256Sequential ns/op)
+echo "topology shapes ns/op at 4 workers:"
+echo "  64-torus:  $t64_ns  (null msgs $t64_null)"
+echo "  64-hier:   $h64_ns  (null msgs $h64_null)"
+echo "  256-ring:  $r256_ns  (null msgs $r256_null)"
+echo "  256-torus: $t256_ns  (null msgs $t256_null)"
+echo "  256-hier:  $h256_ns  (null msgs $h256_null)"
+echo "256-device ring scaling ns/op: seq=$seq256_ns w4=$r256_ns"
 
 # Serving simulator section: the internal suite above already ran
 # internal/serving's benchmarks; pull out the simulated-request rate
@@ -210,21 +203,19 @@ awk -v go_version="$go_version" \
     -v seq64_ns="$seq64_ns" -v w2_64_ns="$w2_64_ns" \
     -v w4_64_ns="$w4_64_ns" -v w8_64_ns="$w8_64_ns" \
     -v win_count="$win_count" -v win_width="$win_width" \
-    -v sync_benchtime="$sync_benchtime" -v sync_count="$sync_count" \
-    -v t64_w_ns="$t64_w_ns" -v t64_a_ns="$t64_a_ns" -v t64_a_null="$t64_a_null" \
-    -v h64_w_ns="$h64_w_ns" -v h64_a_ns="$h64_a_ns" -v h64_a_null="$h64_a_null" \
-    -v r256_w_ns="$r256_w_ns" -v r256_a_ns="$r256_a_ns" -v r256_a_null="$r256_a_null" \
-    -v t256_w_ns="$t256_w_ns" -v t256_a_ns="$t256_a_ns" -v t256_a_null="$t256_a_null" \
-    -v h256_w_ns="$h256_w_ns" -v h256_a_ns="$h256_a_ns" -v h256_a_null="$h256_a_null" \
+    -v shape_benchtime="$shape_benchtime" -v shape_count="$shape_count" \
+    -v t64_ns="$t64_ns" -v t64_null="$t64_null" \
+    -v h64_ns="$h64_ns" -v h64_null="$h64_null" \
+    -v r256_ns="$r256_ns" -v r256_null="$r256_null" \
+    -v t256_ns="$t256_ns" -v t256_null="$t256_null" \
+    -v h256_ns="$h256_ns" -v h256_null="$h256_null" \
     -v seq256_ns="$seq256_ns" \
     -v serve_req_s="$serve_req_s" -v admit_req_s="$admit_req_s" \
     -v admit_allocs="$admit_allocs" '
-function shape_row(name, devices, w_ns, a_ns, nullmsgs, comma) {
-    printf "      {\"shape\": \"%s\", \"devices\": %d, \"windowed_ns_per_op\": %s, \"appointment_ns_per_op\": %s, \"appointment_speedup\": %s, \"null_messages_per_op\": %s}%s\n",
+function shape_row(name, devices, ns, nullmsgs, comma) {
+    printf "      {\"shape\": \"%s\", \"devices\": %d, \"ns_per_op\": %s, \"null_messages_per_op\": %s}%s\n",
         name, devices,
-        w_ns == "" ? "null" : w_ns,
-        a_ns == "" ? "null" : a_ns,
-        (w_ns != "" && a_ns != "") ? sprintf("%.3f", w_ns / a_ns) : "null",
+        ns == "" ? "null" : ns,
         nullmsgs == "" ? "null" : nullmsgs, comma
 }
 /^pkg:/ { pkg = $2 }
@@ -281,25 +272,23 @@ END {
     printf "    \"avg_window_width_ps\": %s\n", win_width == "" ? "null" : win_width
     printf "  },\n"
     printf "  \"multi_device_scaling_256\": {\n"
-    printf "    \"benchtime\": \"%s\",\n", sync_benchtime
-    printf "    \"best_of\": %s,\n", sync_count
+    printf "    \"benchtime\": \"%s\",\n", shape_benchtime
+    printf "    \"best_of\": %s,\n", shape_count
     printf "    \"devices\": 256,\n"
     printf "    \"sequential_ns_per_op\": %s,\n", seq256_ns
-    printf "    \"workers4_windowed_ns_per_op\": %s,\n", r256_w_ns
-    printf "    \"workers4_appointment_ns_per_op\": %s,\n", r256_a_ns
-    printf "    \"speedup_workers4_windowed\": %.3f,\n", seq256_ns / r256_w_ns
-    printf "    \"speedup_workers4_appointment\": %.3f\n", seq256_ns / r256_a_ns
+    printf "    \"workers4_ns_per_op\": %s,\n", r256_ns
+    printf "    \"speedup_workers4\": %.3f\n", seq256_ns / r256_ns
     printf "  },\n"
-    printf "  \"sync_modes\": {\n"
-    printf "    \"benchtime\": \"%s\",\n", sync_benchtime
-    printf "    \"best_of\": %s,\n", sync_count
+    printf "  \"topology_shapes\": {\n"
+    printf "    \"benchtime\": \"%s\",\n", shape_benchtime
+    printf "    \"best_of\": %s,\n", shape_count
     printf "    \"workers\": 4,\n"
     printf "    \"shapes\": [\n"
-    shape_row("torus-8x8", 64, t64_w_ns, t64_a_ns, t64_a_null, ",")
-    shape_row("hier-2x32", 64, h64_w_ns, h64_a_ns, h64_a_null, ",")
-    shape_row("ring-256", 256, r256_w_ns, r256_a_ns, r256_a_null, ",")
-    shape_row("torus-16x16", 256, t256_w_ns, t256_a_ns, t256_a_null, ",")
-    shape_row("hier-2x128", 256, h256_w_ns, h256_a_ns, h256_a_null, "")
+    shape_row("torus-8x8", 64, t64_ns, t64_null, ",")
+    shape_row("hier-2x32", 64, h64_ns, h64_null, ",")
+    shape_row("ring-256", 256, r256_ns, r256_null, ",")
+    shape_row("torus-16x16", 256, t256_ns, t256_null, ",")
+    shape_row("hier-2x128", 256, h256_ns, h256_null, "")
     printf "    ]\n"
     printf "  },\n"
     printf "  \"serving\": {\n"
