@@ -8,13 +8,15 @@ import (
 
 // The engine benchmarks measure the two halves of the DES hot loop: pushing
 // events into the calendar (BenchmarkEngineSchedule) and the full
-// schedule+dispatch cycle (BenchmarkEngineRun). Run with
+// schedule+dispatch cycle (BenchmarkEngineRun), plus two self-rescheduling
+// workloads: spread delays that stay in the heap (BenchmarkEngineRunCascade)
+// and the DRAM delay mix the lanes serve (BenchmarkEngineRunDRAMMix). Run with
 //
 //	go test ./internal/sim -run='^$' -bench=BenchmarkEngine -benchmem
 //
-// EXPERIMENTS.md records the container/heap baseline and the value-based
-// 4-ary heap numbers; the target is zero steady-state allocations per
-// scheduled event.
+// EXPERIMENTS.md records the container/heap baseline, the value-based 4-ary
+// heap and the delay-lane numbers; the target is zero steady-state
+// allocations per scheduled event.
 
 // benchSpread de-correlates timestamps so the heap sees realistic sift work
 // rather than append-only FIFO behaviour. It is a fixed LCG, not wall-clock
@@ -76,4 +78,76 @@ func BenchmarkEngineRunCascade(b *testing.B) {
 		e.After(units.Time(c+1), tick)
 	}
 	e.Run()
+}
+
+// dramMix replays the delay mix a DRAM-bound fused run dispatches: 46% of
+// events at a channel's 2 KiB service time (65,536 ps), 41% as read-latency
+// fence completions (60,000 ps), 10% at the Update service time
+// (131,072 ps) and 3% spread. Each chain keeps one event in flight, like a
+// channel re-arming itself; a fixed LCG picks every delay, so each run
+// dispatches the identical sequence.
+type dramMix struct {
+	e      *Engine
+	left   int
+	state  uint64
+	chains []*dramChain
+}
+
+type dramChain struct {
+	m     *dramMix
+	tick  Handler
+	fence *Fence
+	armed bool // fence has been scheduled before, so it must be Reset
+}
+
+func newDRAMMix(e *Engine, chains int) *dramMix {
+	m := &dramMix{e: e, state: 1}
+	for i := 0; i < chains; i++ {
+		c := &dramChain{m: m}
+		c.tick = c.next
+		c.fence = NewFence(1, c.tick)
+		m.chains = append(m.chains, c)
+	}
+	return m
+}
+
+// run dispatches n more events across the chains and drains the engine.
+func (m *dramMix) run(n int) {
+	m.left = n
+	for _, c := range m.chains {
+		c.next()
+	}
+	m.e.Run()
+}
+
+func (c *dramChain) next() {
+	m := c.m
+	if m.left == 0 {
+		return
+	}
+	m.left--
+	m.state = m.state*6364136223846793005 + 1442695040888963407
+	r := m.state >> 33
+	switch p := r % 100; {
+	case p < 46:
+		m.e.After(65536, c.tick)
+	case p < 87:
+		if c.armed {
+			c.fence.Reset(1)
+		}
+		c.armed = true
+		m.e.AfterFence(60000, c.fence)
+	case p < 97:
+		m.e.After(131072, c.tick)
+	default:
+		m.e.After(units.Time(1+r%100000), c.tick)
+	}
+}
+
+func BenchmarkEngineRunDRAMMix(b *testing.B) {
+	m := newDRAMMix(NewEngine(), 64)
+	m.run(1 << 14) // warm the lanes and the heap
+	b.ReportAllocs()
+	b.ResetTimer()
+	m.run(b.N)
 }

@@ -25,19 +25,54 @@ func TestEngineCheckerCleanRun(t *testing.T) {
 }
 
 // TestEngineCheckerCatchesHeapCorruption is the engine's ordering law made
-// falsifiable: we corrupt the event calendar behind the heap's back (white
+// falsifiable: we corrupt the event calendar behind the engine's back (white
 // box — this cannot happen through the public API, which panics on
 // past-scheduling) and assert the monotonicity witness flags the backwards
-// dispatch instead of letting the simulation silently reorder.
+// dispatch instead of letting the simulation silently reorder. Each half of
+// the calendar gets its own corruption: two heap entries, and two entries of
+// one delay lane.
 func TestEngineCheckerCatchesHeapCorruption(t *testing.T) {
-	c := check.New()
-	e := NewEngine()
-	e.AttachChecker(c)
-	e.At(10, func() {})
-	e.At(20, func() {})
-	// Swap the heap entries so the t=20 event dispatches first and the
-	// clock then jumps back to t=10.
-	e.queue[0], e.queue[1] = e.queue[1], e.queue[0]
+	t.Run("heap", func(t *testing.T) {
+		e, c := NewEngine(), check.New()
+		e.AttachChecker(c)
+		e.At(10, func() {})
+		e.At(20, func() {})
+		if e.laneMask != 0 || len(e.queue) != 2 {
+			t.Fatalf("events not in the heap: lane mask %b, heap %d", e.laneMask, len(e.queue))
+		}
+		// Swap the heap entries so the t=20 event dispatches first and the
+		// clock then jumps back to t=10.
+		e.queue[0], e.queue[1] = e.queue[1], e.queue[0]
+		requireBackwardsDispatch(t, e, c)
+	})
+	t.Run("lane", func(t *testing.T) {
+		e, c := NewEngine(), check.New()
+		e.AttachChecker(c)
+		// Enough schedules of one delay to admit it, then one more from a
+		// later clock, so the lane holds events at t=101 and t=102.
+		const d = 100
+		e.RunUntil(1)
+		for i := 0; i < admitHits+1; i++ {
+			e.After(d, func() {})
+		}
+		e.RunUntil(2)
+		e.After(d, func() {})
+		l := &e.lanes[laneSlot(d)]
+		if l.delay != d || l.n < 2 {
+			t.Fatalf("delay %d not lane-resident: lane owns %d with %d events", d, l.delay, l.n)
+		}
+		// Swap the lane's first and last entries so the t=102 event
+		// dispatches ahead of a t=101 one.
+		first, last := l.first, (l.first+l.n-1)&(len(l.buf)-1)
+		l.buf[first], l.buf[last] = l.buf[last], l.buf[first]
+		requireBackwardsDispatch(t, e, c)
+	})
+}
+
+// requireBackwardsDispatch runs a corrupted engine and requires the checker
+// to report exactly the engine's monotonicity law.
+func requireBackwardsDispatch(t *testing.T, e *Engine, c *check.Checker) {
+	t.Helper()
 	func() {
 		defer func() { recover() }() // At() may panic once now has advanced past a pending event
 		e.Run()

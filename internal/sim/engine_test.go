@@ -265,3 +265,23 @@ func TestFenceMisuse(t *testing.T) {
 	f2 := NewFence(2, nil)
 	mustPanic("negative-add", func() { f2.Add(-1) })
 }
+
+// TestEngineDRAMMixAllocFree pins the delay-lane calendar's steady state: a
+// warm engine dispatching the DRAM delay mix allocates nothing per event,
+// whichever of lanes and heap each event lands in.
+func TestEngineDRAMMixAllocFree(t *testing.T) {
+	m := newDRAMMix(NewEngine(), 64)
+	m.run(1 << 14)
+	const events = 4096
+	before := m.e.Processed()
+	allocs := testing.AllocsPerRun(5, func() { m.run(events) })
+	if allocs != 0 {
+		t.Fatalf("%.1f allocs per %d-event run, want 0", allocs, events)
+	}
+	if got := m.e.Processed() - before; got != 6*events {
+		t.Fatalf("processed %d events, want %d", got, 6*events)
+	}
+	if m.e.laneMask != 0 || m.e.lanes[laneSlot(65536)].delay != 65536 {
+		t.Fatalf("lanes not drained (mask %b) or 65,536 ps not admitted", m.e.laneMask)
+	}
+}
