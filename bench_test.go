@@ -342,7 +342,9 @@ func multiDeviceOpts(b *testing.B, workers int) t3sim.FusedOptions {
 // runMultiDeviceBench is the body shared by the scaling benchmarks: one full
 // explicit 8-device simulation per iteration. Output is byte-identical at
 // every worker count (pinned by TestMultiDeviceParallelMatchesSequential);
-// only wall-clock changes, which is exactly what ns/op reports.
+// only wall-clock changes, which is exactly what ns/op reports. The
+// Sequential variants run the serial cluster (workers 0), the baseline
+// parallel speedup is quoted against.
 func runMultiDeviceBench(b *testing.B, workers int) {
 	opts := multiDeviceOpts(b, workers)
 	b.ReportAllocs()
@@ -401,7 +403,7 @@ func runMultiDevice64Bench(b *testing.B, workers int) {
 			b.Fatal(err)
 		}
 	}
-	if workers > 0 && st.Windows > 0 {
+	if st.Windows > 0 {
 		b.ReportMetric(float64(st.Windows), "windows/op")
 		b.ReportMetric(float64(st.AvgWindowWidth()), "window-ps/op")
 	}
@@ -416,7 +418,7 @@ func BenchmarkMultiDevice64Workers8(b *testing.B)   { runMultiDevice64Bench(b, 8
 // per iteration, routed over the named graph at the given device count.
 // Reports windows/op, window-ps/op and nullmsgs/op (promise refreshes — the
 // appointment coordinator's traffic), the numbers scripts/bench.sh records.
-// Results are byte-identical to the sequential path; only coordination cost
+// Results are byte-identical at every worker count; only coordination cost
 // differs.
 func runMultiDeviceTopoBench(b *testing.B, topo string, devices, workers int) {
 	if testing.Short() {
@@ -452,7 +454,7 @@ func runMultiDeviceTopoBench(b *testing.B, topo string, devices, workers int) {
 			b.Fatal(err)
 		}
 	}
-	if workers > 0 && st.Windows > 0 {
+	if st.Windows > 0 {
 		b.ReportMetric(float64(st.Windows), "windows/op")
 		b.ReportMetric(float64(st.AvgWindowWidth()), "window-ps/op")
 		b.ReportMetric(float64(st.NullMessages), "nullmsgs/op")

@@ -134,7 +134,7 @@ func main() {
 		"max concurrent simulations; 1 = fully serial; output is identical at any -j")
 	par := flag.Int("par", 0,
 		"worker goroutines per explicit multi-device simulation (conservative parallel DES); "+
-			"0 = sequential single-engine path; output is byte-identical at any -par")
+			"0 and 1 = serial cluster run; output is byte-identical at any -par")
 	checkRuns := flag.Bool("check", false,
 		"attach the simulation invariant checker to every run; violations fail the process")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")

@@ -12,12 +12,12 @@
 // gemm_us, collective_done_us, done_us, speedup_vs_sequential, dram_mib,
 // link_mib, tracker_high_water.
 //
-// Parallel multi-device rows (-collective multi -par N) are each followed by
-// a `#`-prefixed comment line reporting the cluster scheduler's coordination
-// stats (rounds, average window width, null messages, stall time), so
-// scaling regressions are visible without a profiler. The data rows
-// themselves are byte-identical at any -par; only the comment reflects the
-// coordinator.
+// Multi-device rows run with -par N > 0 (-collective multi) are each
+// followed by a `#`-prefixed comment line reporting the cluster scheduler's
+// coordination stats (rounds, average window width, null messages, stall
+// time), so scaling regressions are visible without a profiler. The data
+// rows themselves are byte-identical at any -par; only the comment reflects
+// the coordinator.
 //
 // -serve switches to the serving capacity sweep (internal/serving): one CSV
 // row per (scheme, offered QPS) operating point with TTFT/TPOT percentiles,
@@ -100,7 +100,7 @@ func run() (code int) {
 			"max concurrent simulations; output order is identical at any -j")
 		par = flag.Int("par", 0,
 			"worker goroutines per explicit multi-device simulation (-collective multi); "+
-				"0 = sequential single-engine path; output is byte-identical at any -par")
+				"0 and 1 = serial cluster run; output is byte-identical at any -par")
 		checkRuns = flag.Bool("check", false,
 			"attach the simulation invariant checker to every configuration; violations fail the process")
 		timeline = flag.String("timeline", "",
@@ -515,12 +515,12 @@ func runOne(grid t3sim.GEMMGrid, devices int, linkGBps float64, cus int,
 	)
 	switch {
 	case collName == "multi":
-		// Explicit N-device simulation (no mirroring); -par picks the
-		// conservative-parallel execution strategy, output is identical
-		// either way. The cluster stats
-		// out-parameter only matters for -par runs, and requesting it makes
-		// the run uncacheable (a hit couldn't report this run's windowing),
-		// so sequential rows skip it and stay memoizable.
+		// Explicit N-device simulation (no mirroring) on the
+		// conservative-parallel cluster; -par picks its worker count and
+		// output is identical at any value. Requesting the cluster stats
+		// out-parameter makes the run uncacheable (a hit couldn't report
+		// this run's windowing), so -par 0 rows skip it and stay
+		// memoizable.
 		var st t3sim.ClusterStats
 		if par > 0 {
 			opts.ClusterStats = &st

@@ -161,10 +161,16 @@ func coarseRunRSIsolated(setup Setup, nmc bool) (units.Time, error) {
 }
 
 // coarseRunConcurrent runs one GEMM per device concurrently with the
-// reduce-scatter on shared memory controllers.
+// reduce-scatter on shared memory controllers, each device on its own
+// serial cluster engine.
 func coarseRunConcurrent(setup Setup, grid gemm.Grid, arbKind t3core.Arbitration, nmc bool) (gemmT, rsT units.Time, err error) {
-	eng := sim.NewEngine()
-	ring, err := interconnect.RingTopo(coarseDevices, setup.Link).Build(eng)
+	spec := interconnect.RingTopo(coarseDevices, setup.Link)
+	cl, err := spec.NewCluster()
+	if err != nil {
+		return 0, 0, err
+	}
+	cl.AttachChecker(setup.Check)
+	ring, err := spec.BuildCluster(cl)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -182,13 +188,13 @@ func coarseRunConcurrent(setup Setup, grid gemm.Grid, arbKind t3core.Arbitration
 		default:
 			return 0, 0, fmt.Errorf("experiments: unknown arbitration %v", arbKind)
 		}
-		mc, err := memory.NewController(eng, setup.Memory, arb)
+		mc, err := memory.NewController(cl.Engine(i), setup.Memory, arb)
 		if err != nil {
 			return 0, 0, err
 		}
 		devs[i] = &collective.Device{ID: i, Mem: mc}
 		kernels[i] = &gpu.GEMMKernel{
-			Eng:     eng,
+			Eng:     cl.Engine(i),
 			Mem:     mc,
 			GPU:     setup.GPU,
 			Grid:    grid,
@@ -196,8 +202,7 @@ func coarseRunConcurrent(setup Setup, grid gemm.Grid, arbKind t3core.Arbitration
 			Monitor: arbKind == t3core.ArbMCA,
 		}
 	}
-	var rsDone units.Time
-	err = collective.StartTopoCollective(eng, collective.AlgoRing, collective.ReduceScatterOp, collective.TopoOptions{
+	cr, err := collective.StartClusterTopoCollective(cl, collective.AlgoRing, collective.ReduceScatterOp, collective.TopoOptions{
 		Topo:              ring,
 		Devices:           devs,
 		TotalBytes:        coarseRSBytes,
@@ -206,7 +211,8 @@ func coarseRunConcurrent(setup Setup, grid gemm.Grid, arbKind t3core.Arbitration
 		PerCUMemBandwidth: setup.PerCUMemBandwidth,
 		NMC:               nmc,
 		Stream:            memory.StreamComm,
-	}, func() { rsDone = eng.Now() })
+		Check:             setup.Check,
+	})
 	if err != nil {
 		return 0, 0, err
 	}
@@ -215,8 +221,9 @@ func coarseRunConcurrent(setup Setup, grid gemm.Grid, arbKind t3core.Arbitration
 			return 0, 0, err
 		}
 	}
-	eng.Run()
-	if rsDone == 0 {
+	cl.Run(0)
+	cr.Finish()
+	if cr.Done() == 0 {
 		return 0, 0, fmt.Errorf("experiments: concurrent RS never completed")
 	}
 	var latest units.Time
@@ -225,7 +232,7 @@ func coarseRunConcurrent(setup Setup, grid gemm.Grid, arbKind t3core.Arbitration
 			latest = k.Finished()
 		}
 	}
-	return latest, rsDone, nil
+	return latest, cr.Done(), nil
 }
 
 // Render formats the contention matrices.

@@ -1,13 +1,15 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
 
-	"t3sim/internal/check"
 	"t3sim/internal/collective"
+	"t3sim/internal/gemm"
 	"t3sim/internal/interconnect"
+	"t3sim/internal/t3core"
 	"t3sim/internal/units"
 )
 
@@ -38,24 +40,48 @@ func differentialStepSlack(setup Setup) units.Time {
 }
 
 // runTimedCollective runs one timed ring collective to completion on freshly
-// built devices, with the invariant checker attached.
+// built devices, with the invariant checker attached, on one shared engine:
+// the only host for the zero-latency links TestDifferentialLinkBoundExact
+// needs.
 func runTimedCollective(t *testing.T, setup Setup, devices int, size units.Bytes, allGather, nmc bool) units.Time {
 	t.Helper()
-	checker := check.New()
-	setup.Check = checker
 	op := collective.ReduceScatterOp
 	if allGather {
 		op = collective.AllGatherOp
 	}
-	done, err := timedTopoCollective(setup, interconnect.RingTopo(devices, setup.Link), collective.AlgoRing,
-		op, size, nmc, 0, nil)
+	return runTimedTopoCollective(t, setup, interconnect.RingTopo(devices, setup.Link), collective.AlgoRing,
+		op, size, nmc, 0)
+}
+
+// TestZeroLinkLatencyRejected pins that both cluster entry points refuse a
+// zero-latency link, which admits no conservative lookahead, with
+// interconnect.ErrZeroLinkLatency instead of a panic in sim.NewCluster.
+func TestZeroLinkLatencyRejected(t *testing.T) {
+	setup := DefaultSetup()
+	setup.Link.LinkLatency = 0
+	_, err := timedTopoCollective(setup, interconnect.RingTopo(4, setup.Link), collective.AlgoRing,
+		collective.ReduceScatterOp, units.MiB, false, 0, nil)
+	if !errors.Is(err, interconnect.ErrZeroLinkLatency) {
+		t.Errorf("timedTopoCollective: err = %v, want %v", err, interconnect.ErrZeroLinkLatency)
+	}
+	grid, err := gemm.NewGrid(gemm.Shape{M: 256, N: 256, K: 128, ElemBytes: 2}, gemm.DefaultTiling())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range checker.Violations() {
-		t.Errorf("invariant violation: %s", v)
+	_, err = t3core.RunFusedGEMMRSMultiDevice(t3core.FusedOptions{
+		GPU:         setup.GPU,
+		Memory:      setup.Memory,
+		Link:        setup.Link,
+		Tracker:     setup.Tracker,
+		Devices:     2,
+		Grid:        grid,
+		Collective:  t3core.RingReduceScatter,
+		Arbitration: t3core.ArbRoundRobin,
+		ParWorkers:  2,
+	})
+	if !errors.Is(err, interconnect.ErrZeroLinkLatency) {
+		t.Errorf("RunFusedGEMMRSMultiDevice: err = %v, want %v", err, interconnect.ErrZeroLinkLatency)
 	}
-	return done
 }
 
 func analyticOpts(setup Setup, devices int, size units.Bytes, nmc bool) collective.AnalyticOptions {

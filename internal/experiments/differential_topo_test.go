@@ -81,6 +81,7 @@ func runTimedTopoCollective(t *testing.T, setup Setup, spec interconnect.TopoSpe
 		if err != nil {
 			t.Fatal(err)
 		}
+		topo.AttachChecker(checker)
 		opts.Topo = topo
 		opts.Devices = buildDevs(func(int) *sim.Engine { return eng })
 		if err := collective.StartTopoCollective(eng, algo, op, opts, func() { done = eng.Now() }); err != nil {
@@ -96,6 +97,7 @@ func runTimedTopoCollective(t *testing.T, setup Setup, spec interconnect.TopoSpe
 		if err != nil {
 			t.Fatal(err)
 		}
+		topo.AttachChecker(checker)
 		opts.Topo = topo
 		opts.Devices = buildDevs(cl.Engine)
 		cr, err := collective.StartClusterTopoCollective(cl, algo, op, opts)

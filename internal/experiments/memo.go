@@ -99,9 +99,9 @@ var hashPolicies = map[reflect.Type]map[string]fieldPolicy{
 		"GEMMCUs":            policyHash,
 		"DMATilesPerBlock":   policyHash,
 		"DoubleBufferedGEMM": policyHash,
-		// ParWorkers only picks the multi-device execution strategy
-		// (shared engine vs conservative cluster); results are
-		// byte-identical at every value, so it must not split the key.
+		// ParWorkers only picks how many goroutines drive the
+		// multi-device cluster; results are byte-identical at every
+		// value, so it must not split the key.
 		"ParWorkers":    policySkip,
 		"Observer":      policyBarrier,
 		"CustomArbiter": policyBarrier,
@@ -140,8 +140,8 @@ var hashPolicies = map[reflect.Type]map[string]fieldPolicy{
 		"ServeSLO":          policyHash,
 		"Metrics":           policyBarrier,
 		"Check":             policyDiskBarrier,
-		// The worker count is a byte-identity-preserving execution
-		// strategy, like FusedOptions.ParWorkers.
+		// The worker count only picks how many goroutines drive the
+		// cluster, like FusedOptions.ParWorkers.
 		"MultiDeviceWorkers": policySkip,
 		// The cache handle itself obviously cannot key the cache.
 		"Memo": policySkip,

@@ -46,14 +46,13 @@ type Setup struct {
 	// invariant violations across the whole sweep; a single checker is safe
 	// to share at any -j. Nil costs nothing.
 	Check *check.Checker
-	// MultiDeviceWorkers selects the execution strategy for explicit
-	// multi-device simulations (the mirror validation's N-device runs):
-	// 0 simulates all devices on one shared engine; any positive value
-	// runs each device on its own conservative-parallel cluster engine
-	// with up to that many goroutines. Output is byte-identical at every
-	// value — the knob trades wall-clock time only — so it is excluded
-	// from the memo key and safe to flip per invocation (-par on the
-	// CLIs).
+	// MultiDeviceWorkers is the number of goroutines driving the
+	// conservative-parallel cluster of explicit multi-device simulations
+	// (the mirror validation's N-device runs), where each device runs on
+	// its own engine; 0 and 1 run the cluster serially. Output is
+	// byte-identical at every value — the knob trades wall-clock time
+	// only — so it is excluded from the memo key and safe to flip per
+	// invocation (-par on the CLIs).
 	MultiDeviceWorkers int
 	// ServeQPS, when non-empty, overrides the serving sweep's offered-load
 	// ladder (requests/s); empty uses the built-in default. CLI flag -qps.

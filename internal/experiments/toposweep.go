@@ -8,7 +8,6 @@ import (
 	"t3sim/internal/interconnect"
 	"t3sim/internal/memory"
 	"t3sim/internal/metrics"
-	"t3sim/internal/sim"
 	"t3sim/internal/t3core"
 	"t3sim/internal/units"
 )
@@ -166,14 +165,45 @@ func topoAnalytic(setup Setup, size units.Bytes, nmc bool) collective.AnalyticOp
 	}
 }
 
-// timedTopoCollective runs one timed graph collective to completion.
-// workers == 0 uses a single shared engine; workers > 0 simulates each
-// device on its own cluster engine (byte-identical at every count). A
+// timedTopoCollective runs one timed graph collective to completion,
+// simulating each device on its own cluster engine with up to workers
+// goroutines (0 and 1 run serially; byte-identical at every count). A
 // non-nil sink receives the collective's instruments, every link's
 // instruments and a "dev<i>" memory scope per device.
 func timedTopoCollective(setup Setup, spec interconnect.TopoSpec, algo collective.Algorithm,
 	op collective.Op, size units.Bytes, nmc bool, workers int, sink metrics.Sink) (units.Time, error) {
-	opts := collective.TopoOptions{
+	cl, err := spec.NewCluster()
+	if err != nil {
+		return 0, err
+	}
+	cl.AttachChecker(setup.Check)
+	topo, err := spec.BuildCluster(cl)
+	if err != nil {
+		return 0, err
+	}
+	topo.AttachChecker(setup.Check)
+	if sink != nil {
+		topo.AttachMetrics(sink)
+	}
+	memCfg := setup.Memory
+	if setup.Check != nil && memCfg.Check == nil {
+		memCfg.Check = setup.Check
+	}
+	devs := make([]*collective.Device, spec.Devices)
+	for i := range devs {
+		memCfg := memCfg
+		if sink != nil {
+			memCfg.Metrics = sink.Scope(fmt.Sprintf("dev%d", i))
+		}
+		mc, err := memory.NewController(cl.Engine(i), memCfg, memory.ComputeFirst{})
+		if err != nil {
+			return 0, err
+		}
+		devs[i] = &collective.Device{ID: i, Mem: mc}
+	}
+	cr, err := collective.StartClusterTopoCollective(cl, algo, op, collective.TopoOptions{
+		Topo:              topo,
+		Devices:           devs,
 		TotalBytes:        size,
 		BlockBytes:        setup.BlockBytes,
 		CUs:               setup.CollectiveCUs,
@@ -182,78 +212,16 @@ func timedTopoCollective(setup Setup, spec interconnect.TopoSpec, algo collectiv
 		Stream:            memory.StreamComm,
 		Metrics:           sink,
 		Check:             setup.Check,
-	}
-	memCfg := setup.Memory
-	if setup.Check != nil && memCfg.Check == nil {
-		memCfg.Check = setup.Check
-	}
-	// attach wires a built topology and fresh per-device memory controllers
-	// into opts, with the run's checker and sink.
-	attach := func(topo *interconnect.Topology, engOf func(int) *sim.Engine) error {
-		topo.AttachChecker(setup.Check)
-		if sink != nil {
-			topo.AttachMetrics(sink)
-		}
-		opts.Topo = topo
-		devs := make([]*collective.Device, spec.Devices)
-		for i := range devs {
-			memCfg := memCfg
-			if sink != nil {
-				memCfg.Metrics = sink.Scope(fmt.Sprintf("dev%d", i))
-			}
-			mc, err := memory.NewController(engOf(i), memCfg, memory.ComputeFirst{})
-			if err != nil {
-				return err
-			}
-			devs[i] = &collective.Device{ID: i, Mem: mc}
-		}
-		opts.Devices = devs
-		return nil
-	}
-	if workers <= 0 {
-		eng := sim.NewEngine()
-		eng.AttachChecker(setup.Check)
-		topo, err := spec.Build(eng)
-		if err != nil {
-			return 0, err
-		}
-		if err := attach(topo, func(int) *sim.Engine { return eng }); err != nil {
-			return 0, err
-		}
-		var done units.Time
-		if err := collective.StartTopoCollective(eng, algo, op, opts, func() { done = eng.Now() }); err != nil {
-			return 0, err
-		}
-		eng.Run()
-		return completed(done)
-	}
-	cl := sim.NewCluster(spec.Devices, spec.MinLinkLatency())
-	for _, e := range cl.Engines() {
-		e.AttachChecker(setup.Check)
-	}
-	topo, err := spec.BuildCluster(cl)
-	if err != nil {
-		return 0, err
-	}
-	if err := attach(topo, cl.Engine); err != nil {
-		return 0, err
-	}
-	cr, err := collective.StartClusterTopoCollective(cl, algo, op, opts)
+	})
 	if err != nil {
 		return 0, err
 	}
 	cl.Run(workers)
 	cr.Finish()
-	return completed(cr.Done())
-}
-
-// completed rejects the zero completion time of a collective that never
-// finished.
-func completed(done units.Time) (units.Time, error) {
-	if done == 0 {
+	if cr.Done() == 0 {
 		return 0, fmt.Errorf("experiments: collective never completed")
 	}
-	return done, nil
+	return cr.Done(), nil
 }
 
 // TopoSweep runs the topology sweep. A non-zero setup.Topo restricts every

@@ -1,6 +1,7 @@
 package interconnect
 
 import (
+	"errors"
 	"fmt"
 
 	"t3sim/internal/check"
@@ -238,6 +239,23 @@ func (s TopoSpec) MinLinkLatency() units.Time {
 		}
 	}
 	return min
+}
+
+// ErrZeroLinkLatency reports a topology with a zero-latency link: it admits
+// no conservative lookahead, so no sim.Cluster can host it.
+var ErrZeroLinkLatency = errors.New("interconnect: zero link latency admits no cluster lookahead")
+
+// NewCluster returns a cluster of one engine per device whose lookahead is
+// the spec's MinLinkLatency — the cluster BuildCluster expects.
+func (s TopoSpec) NewCluster() (*sim.Cluster, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	lat := s.MinLinkLatency()
+	if lat <= 0 {
+		return nil, ErrZeroLinkLatency
+	}
+	return sim.NewCluster(s.Devices, lat), nil
 }
 
 // Topology is a built interconnect graph: the spec plus one live Link per

@@ -94,23 +94,19 @@ type FusedOptions struct {
 	// event. A nil sink records nothing and costs nothing. If
 	// Memory.Metrics is already set it wins for the controller.
 	Metrics metrics.Sink
-	// ParWorkers selects the execution strategy for the explicit
-	// multi-device run (RunFusedGEMMRSMultiDevice only; single-GPU mirror
-	// runs ignore it). 0 — the default — simulates all devices on one
-	// shared engine, the legacy sequential path. Any positive value runs
-	// each device on its own sim.Cluster engine, advanced in conservative
-	// windows of one link latency, using up to ParWorkers goroutines per
-	// window. Results are byte-identical at every value — the knob trades
-	// wall-clock time only — so it is excluded from the experiment memo key
-	// (policySkip). Falls back to the sequential path when LinkLatency is
-	// zero, since a zero lookahead admits no conservative window.
+	// ParWorkers is the number of goroutines driving the explicit
+	// multi-device run's sim.Cluster (RunFusedGEMMRSMultiDevice only;
+	// single-GPU mirror runs ignore it), where each device runs on its own
+	// engine, advanced in conservative windows of one link latency. 0 — the
+	// default — and 1 run the cluster serially. Results are byte-identical
+	// at every value — the knob trades wall-clock time only — so it is
+	// excluded from the experiment memo key (policySkip).
 	ParWorkers int
 	// ClusterStats, if non-nil, receives the scheduler's windowing summary
-	// after an explicit multi-device run on the cluster path (ParWorkers > 0
-	// with a positive link latency): round count, engine-window executions,
-	// and total simulated time advanced, from which the benchmark harness
-	// derives the average window width — the lookahead-quality metric tracked
-	// across PRs. The sequential path zeroes it. The stats describe the
+	// after an explicit multi-device run: round count, engine-window
+	// executions, and total simulated time advanced, from which the
+	// benchmark harness derives the average window width — the
+	// lookahead-quality metric tracked across PRs. The stats describe the
 	// coordination layer, not the model, and are deliberately not part of
 	// MultiDeviceResult: results stay byte-identical at every worker count,
 	// while window shapes are an implementation detail of the scheduler.

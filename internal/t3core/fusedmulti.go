@@ -52,8 +52,8 @@ func (r *MultiDeviceResult) Skew() units.Time {
 }
 
 // multiDevice is one device's state in the explicit run. Every field is
-// device-local: in cluster mode all of a device's handlers run on its own
-// engine, so no two goroutines ever touch the same multiDevice.
+// device-local: all of a device's handlers run on its own cluster engine,
+// so no two goroutines ever touch the same multiDevice.
 type multiDevice struct {
 	id   int
 	run  *multiRun
@@ -78,24 +78,12 @@ type multiDevice struct {
 // after setup, so the cluster's worker goroutines share it freely.
 type multiRun struct {
 	o    FusedOptions
-	eng  *sim.Engine            // sequential mode: the one shared engine (nil in cluster mode)
-	cl   *sim.Cluster           // cluster mode: one engine per device (nil in sequential mode)
 	topo *interconnect.Topology // the interconnect graph (o.Topo)
 	devs []*multiDevice
 
 	tileBytes  units.Bytes
 	totalTiles int
 	chunkStart []int // address-space tile index where each chunk begins
-
-	result MultiDeviceResult
-}
-
-// engOf returns the engine device d's handlers run on.
-func (r *multiRun) engOf(d int) *sim.Engine {
-	if r.cl != nil {
-		return r.cl.Engine(d)
-	}
-	return r.eng
 }
 
 // RunFusedGEMMRSMultiDevice executes the fused GEMM→ring-reduce-scatter
@@ -109,45 +97,74 @@ func (r *multiRun) engOf(d int) *sim.Engine {
 // tracker-triggered overlap still wins on a torus, a switch, or a two-level
 // hierarchy.
 //
-// With o.ParWorkers > 0 (and a positive minimum link latency) each device is
-// simulated on its own engine inside a sim.Cluster, advanced in conservative
-// windows one lookahead wide; the result is byte-identical to the
-// sequential run at every worker count.
+// Each device is simulated on its own engine inside a sim.Cluster whose
+// lookahead is the minimum link latency, using up to o.ParWorkers
+// goroutines (0 and 1 run serially); the result is byte-identical at every
+// worker count. A zero-latency link admits no lookahead and fails with
+// interconnect.ErrZeroLinkLatency.
 func RunFusedGEMMRSMultiDevice(o FusedOptions) (MultiDeviceResult, error) {
-	if o.Collective != RingReduceScatter {
-		return MultiDeviceResult{}, fmt.Errorf("t3core: multi-device run supports ring reduce-scatter, got %v", o.Collective)
-	}
-	if err := validateFusedCommon(o); err != nil {
-		return MultiDeviceResult{}, err
-	}
-	if o.Grid.Tiling.SplitK != 1 {
-		return MultiDeviceResult{}, fmt.Errorf("t3core: multi-device run supports SplitK=1 only")
-	}
-	n := o.Devices
-	if o.Topo.IsZero() {
-		o.Topo = interconnect.RingTopo(n, o.Link)
-	}
-	r := &multiRun{o: o}
-	// A zero-latency link admits no conservative window (the lookahead must
-	// be positive), so such configurations fall back to the shared engine.
-	// The lookahead is the slowest-case-safe minimum link latency over the
-	// whole graph.
-	minLat := o.Topo.MinLinkLatency()
-	parallel := o.ParWorkers > 0 && minLat > 0
-	var err error
-	if parallel {
-		r.cl = sim.NewCluster(n, minLat)
-		r.cl.AttachChecker(o.Check)
-		r.topo, err = o.Topo.BuildCluster(r.cl)
-	} else {
-		r.eng = sim.NewEngine()
-		r.eng.AttachChecker(o.Check)
-		r.topo, err = o.Topo.Build(r.eng)
-	}
+	o, err := multiDeviceOptions(o)
 	if err != nil {
 		return MultiDeviceResult{}, err
 	}
-	r.topo.AttachChecker(o.Check)
+	cl, err := o.Topo.NewCluster()
+	if err != nil {
+		return MultiDeviceResult{}, err
+	}
+	cl.AttachChecker(o.Check)
+	topo, err := o.Topo.BuildCluster(cl)
+	if err != nil {
+		return MultiDeviceResult{}, err
+	}
+	r, err := startMultiRun(o, cl.Engines(), topo)
+	if err != nil {
+		return MultiDeviceResult{}, err
+	}
+	cl.Run(o.ParWorkers)
+	st := cl.Stats()
+	if o.ClusterStats != nil {
+		*o.ClusterStats = st
+	}
+	if o.Metrics != nil {
+		// Coordination-layer summary for the -metrics JSON: how the cluster
+		// synchronized, not what the model computed. Values are identical at
+		// every worker count.
+		cs := o.Metrics.Scope("cluster")
+		cs.Counter("windows").Add(int64(st.Windows))
+		cs.Counter("engine_windows").Add(int64(st.EngineWindows))
+		cs.Counter("advance_ps").Add(int64(st.Advance))
+		cs.Counter("null_messages").Add(int64(st.NullMessages))
+		cs.Counter("stalled_engine_windows").Add(int64(st.StalledEngineWindows))
+		cs.Counter("stall_ps").Add(int64(st.StallTime))
+	}
+	return r.result()
+}
+
+// multiDeviceOptions validates an explicit multi-device configuration and
+// defaults its topology to the Table 1 ring.
+func multiDeviceOptions(o FusedOptions) (FusedOptions, error) {
+	if o.Collective != RingReduceScatter {
+		return o, fmt.Errorf("t3core: multi-device run supports ring reduce-scatter, got %v", o.Collective)
+	}
+	if err := validateFusedCommon(o); err != nil {
+		return o, err
+	}
+	if o.Grid.Tiling.SplitK != 1 {
+		return o, fmt.Errorf("t3core: multi-device run supports SplitK=1 only")
+	}
+	if o.Topo.IsZero() {
+		o.Topo = interconnect.RingTopo(o.Devices, o.Link)
+	}
+	return o, nil
+}
+
+// startMultiRun builds every device's model over topo — device d's handlers
+// on engs[d] — and launches the GEMMs. The caller drives the engines, then
+// collects with result.
+func startMultiRun(o FusedOptions, engs []*sim.Engine, topo *interconnect.Topology) (*multiRun, error) {
+	n := o.Devices
+	r := &multiRun{o: o, topo: topo}
+	topo.AttachChecker(o.Check)
 	r.tileBytes = o.Grid.WFTileBytes()
 	r.totalTiles = o.Grid.NumWFs()
 	bounds := collective.ChunkBounds(r.totalTiles, n)
@@ -158,21 +175,20 @@ func RunFusedGEMMRSMultiDevice(o FusedOptions) (MultiDeviceResult, error) {
 	r.chunkStart[n] = r.totalTiles
 
 	if o.Metrics != nil {
-		r.topo.AttachMetrics(o.Metrics)
+		topo.AttachMetrics(o.Metrics)
 	}
 
 	r.devs = make([]*multiDevice, n)
 	for d := 0; d < n; d++ {
-		md, err := r.newDevice(d)
+		md, err := r.newDevice(d, engs[d])
 		if err != nil {
-			return MultiDeviceResult{}, err
+			return nil, err
 		}
 		r.devs[d] = md
 	}
 	// Launch every device's GEMM at t=0 (§4.4: staggering is in the WG→tile
 	// mapping, not the launch time).
-	for d := 0; d < n; d++ {
-		md := r.devs[d]
+	for _, md := range r.devs {
 		kernel := &gpu.GEMMKernel{
 			Eng:               md.eng,
 			Mem:               md.mem,
@@ -186,33 +202,14 @@ func RunFusedGEMMRSMultiDevice(o FusedOptions) (MultiDeviceResult, error) {
 			Metrics:           md.sink,
 		}
 		if err := kernel.Start(func() { md.gemmDone = md.eng.Now() }); err != nil {
-			return MultiDeviceResult{}, err
+			return nil, err
 		}
 	}
-	if parallel {
-		r.cl.Run(o.ParWorkers)
-		if o.ClusterStats != nil {
-			*o.ClusterStats = r.cl.Stats()
-		}
-		if o.Metrics != nil {
-			// Coordination-layer summary for the -metrics JSON: how the
-			// cluster synchronized, not what the model computed. Values are
-			// identical at every worker count.
-			st := r.cl.Stats()
-			cs := o.Metrics.Scope("cluster")
-			cs.Counter("windows").Add(int64(st.Windows))
-			cs.Counter("engine_windows").Add(int64(st.EngineWindows))
-			cs.Counter("advance_ps").Add(int64(st.Advance))
-			cs.Counter("null_messages").Add(int64(st.NullMessages))
-			cs.Counter("stalled_engine_windows").Add(int64(st.StalledEngineWindows))
-			cs.Counter("stall_ps").Add(int64(st.StallTime))
-		}
-	} else {
-		r.eng.Run()
-		if o.ClusterStats != nil {
-			*o.ClusterStats = sim.ClusterStats{}
-		}
-	}
+	return r, nil
+}
+
+// result collects the finished run's per-device and aggregate figures.
+func (r *multiRun) result() (MultiDeviceResult, error) {
 	stalled := 0
 	for _, md := range r.devs {
 		if md.err != nil {
@@ -225,9 +222,8 @@ func RunFusedGEMMRSMultiDevice(o FusedOptions) (MultiDeviceResult, error) {
 	if stalled > 0 {
 		return MultiDeviceResult{}, fmt.Errorf("t3core: multi-device run stalled: %d devices incomplete", stalled)
 	}
-	res := &r.result
-	for d := 0; d < n; d++ {
-		md := r.devs[d]
+	var res MultiDeviceResult
+	for _, md := range r.devs {
 		res.GEMMDone = append(res.GEMMDone, md.gemmDone)
 		res.CollectiveDone = append(res.CollectiveDone, md.collectiveDone)
 		cnt := md.mem.Counters()
@@ -246,10 +242,10 @@ func RunFusedGEMMRSMultiDevice(o FusedOptions) (MultiDeviceResult, error) {
 		}
 	}
 	res.LinkBytes = r.topo.SentBytes()
-	return *res, nil
+	return res, nil
 }
 
-func (r *multiRun) newDevice(d int) (*multiDevice, error) {
+func (r *multiRun) newDevice(d int, eng *sim.Engine) (*multiDevice, error) {
 	o := r.o
 	arb, err := newArbiter(o.Arbitration)
 	if err != nil {
@@ -265,7 +261,6 @@ func (r *multiRun) newDevice(d int) (*multiDevice, error) {
 	if o.Check != nil && o.Memory.Check == nil {
 		o.Memory.Check = o.Check
 	}
-	eng := r.engOf(d)
 	mc, err := memory.NewController(eng, o.Memory, arb)
 	if err != nil {
 		return nil, err

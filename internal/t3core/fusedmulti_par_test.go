@@ -35,13 +35,13 @@ func parOptions(t *testing.T, m, n, k, devices int) FusedOptions {
 }
 
 // TestMultiDeviceParallelMatchesSequential is the load-bearing equivalence
-// test of the conservative parallel layer: the cluster path must reproduce
-// the legacy shared-engine result exactly — every per-device completion
-// time, every DRAM counter, every link byte — at every worker count.
+// test of the conservative parallel layer: the cluster run must reproduce
+// the shared-engine oracle exactly — every per-device completion time,
+// every DRAM counter, every link byte — at every worker count.
 func TestMultiDeviceParallelMatchesSequential(t *testing.T) {
 	for _, devices := range []int{2, 3, 4, 8} {
 		o := parOptions(t, 512, 512, 256, devices)
-		want, err := RunFusedGEMMRSMultiDevice(o)
+		want, err := runMultiDeviceOracle(o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +55,7 @@ func TestMultiDeviceParallelMatchesSequential(t *testing.T) {
 				t.Fatalf("devices=%d workers=%d: %v", devices, workers, err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("devices=%d workers=%d: parallel result diverged from sequential\n got: %+v\nwant: %+v",
+				t.Errorf("devices=%d workers=%d: cluster result diverged from the shared-engine oracle\n got: %+v\nwant: %+v",
 					devices, workers, got, want)
 			}
 			if !chk.Ok() {
@@ -67,7 +67,7 @@ func TestMultiDeviceParallelMatchesSequential(t *testing.T) {
 
 // TestPropertyParallelWorkersInvariant: for random tile-aligned shapes the
 // explicit run's result is a pure function of the model — identical at
-// workers 1, 2 and N, and identical to the sequential path.
+// workers 1, 2 and N, and identical to the shared-engine oracle.
 func TestPropertyParallelWorkersInvariant(t *testing.T) {
 	f := func(mRaw, nRaw uint8, devRaw uint8) bool {
 		m := (int(mRaw)%4 + 2) * 128
@@ -87,7 +87,7 @@ func TestPropertyParallelWorkersInvariant(t *testing.T) {
 			Collective:  RingReduceScatter,
 			Arbitration: ArbRoundRobin,
 		}
-		want, err := RunFusedGEMMRSMultiDevice(o)
+		want, err := runMultiDeviceOracle(o)
 		if err != nil {
 			return false
 		}
@@ -109,14 +109,14 @@ func TestPropertyParallelWorkersInvariant(t *testing.T) {
 // to the Fig-20 scale regime: 64 explicit devices, per-device horizons doing
 // real work (devices run far past the global window between ring phases),
 // and still every field of the result must DeepEqual the shared-engine
-// reference at every worker count. Skipped under -short: it simulates 64
+// oracle at every worker count. Skipped under -short: it simulates 64
 // devices five times over.
 func TestMultiDevice64ParallelMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("64-device equivalence sweep is long; run without -short")
 	}
 	o := parOptions(t, 1024, 1024, 256, 64)
-	want, err := RunFusedGEMMRSMultiDevice(o)
+	want, err := runMultiDeviceOracle(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestMultiDevice64ParallelMatchesSequential(t *testing.T) {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d: 64-device parallel result diverged from sequential", workers)
+			t.Errorf("workers=%d: 64-device cluster result diverged from the shared-engine oracle", workers)
 		}
 		if !chk.Ok() {
 			t.Errorf("workers=%d: violations: %v", workers, chk.Violations())
@@ -147,30 +147,10 @@ func TestMultiDevice64ParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestMultiDeviceZeroLatencyFallsBack pins the documented fallback: with a
-// zero link latency there is no lookahead, so ParWorkers must silently use
-// the sequential path and still succeed.
-func TestMultiDeviceZeroLatencyFallsBack(t *testing.T) {
-	o := parOptions(t, 256, 256, 128, 2)
-	o.Link.LinkLatency = 0
-	want, err := RunFusedGEMMRSMultiDevice(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.ParWorkers = 2
-	got, err := RunFusedGEMMRSMultiDevice(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("zero-latency fallback diverged:\n got: %+v\nwant: %+v", got, want)
-	}
-}
-
 // TestMultiDeviceResultIndependentOfSink is the satellite regression test:
 // per-device GEMMDone/CollectiveDone and DRAM counters are collected
 // unconditionally — attaching a metrics sink must not change (or be required
-// for) any of them, in either execution mode, and Skew() must be a real
+// for) any of them, at any worker count, and Skew() must be a real
 // number computed from real completion times.
 func TestMultiDeviceResultIndependentOfSink(t *testing.T) {
 	for _, workers := range []int{0, 2} {
@@ -221,15 +201,15 @@ func TestMultiDeviceResultIndependentOfSink(t *testing.T) {
 
 // TestMultiDeviceTimelineMergeDeterministic is the timeline-merge satellite:
 // the merged Perfetto trace — one track per device, stable ordering — must
-// be byte-identical between the sequential path and the cluster path at any
-// worker count.
+// be byte-identical between the shared-engine oracle and the cluster run at
+// any worker count.
 func TestMultiDeviceTimelineMergeDeterministic(t *testing.T) {
-	export := func(workers int) []byte {
+	export := func(run func(FusedOptions) (MultiDeviceResult, error), workers int) []byte {
 		o := parOptions(t, 512, 512, 256, 4)
 		o.ParWorkers = workers
 		reg := metrics.NewRegistry()
 		o.Metrics = reg
-		if _, err := RunFusedGEMMRSMultiDevice(o); err != nil {
+		if _, err := run(o); err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
@@ -238,13 +218,13 @@ func TestMultiDeviceTimelineMergeDeterministic(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	want := export(0)
+	want := export(runMultiDeviceOracle, 0)
 	if len(want) == 0 {
-		t.Fatal("empty trace from sequential run")
+		t.Fatal("empty trace from the shared-engine oracle")
 	}
 	for _, workers := range []int{1, 2, 4} {
-		if got := export(workers); !bytes.Equal(got, want) {
-			t.Errorf("workers=%d: merged timeline not byte-identical to sequential (%d vs %d bytes)",
+		if got := export(RunFusedGEMMRSMultiDevice, workers); !bytes.Equal(got, want) {
+			t.Errorf("workers=%d: merged timeline not byte-identical to the shared-engine oracle (%d vs %d bytes)",
 				workers, len(got), len(want))
 		}
 	}
@@ -255,7 +235,7 @@ func TestMultiDeviceTimelineMergeDeterministic(t *testing.T) {
 // the -race exercise for the whole t3core cluster path.
 func TestMultiDeviceParallelStress(t *testing.T) {
 	o := parOptions(t, 512, 512, 128, 8)
-	want, err := RunFusedGEMMRSMultiDevice(o)
+	want, err := runMultiDeviceOracle(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,15 +247,15 @@ func TestMultiDeviceParallelStress(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("rep %d: nondeterministic parallel result", rep)
+			t.Fatalf("rep %d: cluster result diverged from the shared-engine oracle", rep)
 		}
 	}
 }
 
 // TestMultiDeviceTopoWorkersMatchSequential is the t3core-level oracle for
 // the cluster coordinator: on ring, torus and hierarchy graphs the cluster
-// run must reproduce the sequential shared-engine result exactly — every
-// field, every device — at workers 1/2/4/8, with the invariant checker
+// run must reproduce the shared-engine oracle exactly — every field, every
+// device — at workers 1/2/4/8, with the invariant checker
 // (including the per-edge promise law) clean throughout.
 func TestMultiDeviceTopoWorkersMatchSequential(t *testing.T) {
 	link := interconnect.DefaultConfig()
@@ -291,7 +271,7 @@ func TestMultiDeviceTopoWorkersMatchSequential(t *testing.T) {
 	for _, spec := range specs {
 		o := fusedOpts(t, 8)
 		o.Topo = spec
-		want, err := RunFusedGEMMRSMultiDevice(o)
+		want, err := runMultiDeviceOracle(o)
 		if err != nil {
 			t.Fatalf("%v: %v", spec.Kind, err)
 		}
@@ -307,7 +287,7 @@ func TestMultiDeviceTopoWorkersMatchSequential(t *testing.T) {
 				t.Fatalf("%v workers=%d: %v", spec.Kind, workers, err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%v workers=%d: result diverged from sequential", spec.Kind, workers)
+				t.Errorf("%v workers=%d: result diverged from the shared-engine oracle", spec.Kind, workers)
 			}
 			if !chk.Ok() {
 				t.Errorf("%v workers=%d: violations: %v", spec.Kind, workers, chk.Violations())
@@ -352,7 +332,7 @@ func TestMultiDeviceSyncStatsAgree(t *testing.T) {
 func TestMultiDeviceAppointmentStress(t *testing.T) {
 	o := parOptions(t, 512, 512, 128, 8)
 	o.Topo = interconnect.TorusTopo(2, 4, interconnect.DefaultConfig())
-	want, err := RunFusedGEMMRSMultiDevice(o)
+	want, err := runMultiDeviceOracle(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +344,7 @@ func TestMultiDeviceAppointmentStress(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("rep=%d: appointment stress run diverged", rep)
+			t.Errorf("rep=%d: appointment stress run diverged from the shared-engine oracle", rep)
 		}
 	}
 }

@@ -55,11 +55,10 @@ func TestMultiDeviceTopoRingMatchesLegacy(t *testing.T) {
 
 func TestMultiDeviceTopoParallelMatchesSequential(t *testing.T) {
 	// On every graph, the conservative-parallel cluster run must be
-	// byte-identical to the sequential shared-engine run at every worker
-	// count.
+	// byte-identical to the shared-engine oracle at every worker count.
 	for _, spec := range topoTestSpecs(t) {
 		o := topoFusedOpts(t, spec)
-		seq, err := RunFusedGEMMRSMultiDevice(o)
+		seq, err := runMultiDeviceOracle(o)
 		if err != nil {
 			t.Fatalf("%v: %v", spec.Kind, err)
 		}

@@ -22,8 +22,8 @@
 # store's whole reason to exist; a regression below that fails the run.
 #
 # The multi-device scaling sections re-run the explicit simulation at
-# ParWorkers 0 (sequential single engine) and 2/4/8 (conservative parallel
-# cluster with dynamic per-device lookahead): the 8-device shape at
+# ParWorkers 0 (the serial cluster, the "sequential" rows) and 2/4/8
+# (conservative parallel cluster with dynamic per-device lookahead): the 8-device shape at
 # SCALING_BENCHTIME (default 3x) and the 64-device Fig-20-regime shape at
 # SCALING64_BENCHTIME (default 1x), each repeated SCALING_COUNT (default 3)
 # times with the per-configuration MINIMUM reported — the least-noise
@@ -44,7 +44,7 @@
 # interleaved whole cycles with per-configuration minima, and records each
 # run's deterministic null-message count (the coordinator's per-edge promise
 # refreshes). The 256-device ring also anchors the largest scaling point:
-# sequential vs 4 workers.
+# the serial cluster vs 4 workers.
 #
 # Usage:
 #   scripts/bench.sh [output.json]
@@ -72,7 +72,7 @@ go test -run '^$' -bench . -benchtime "$root_benchtime" -benchmem . | tee "$raw"
 echo "== benchmarks: internal hot-path suites (-benchtime $micro_benchtime) =="
 go test -run '^$' -bench . -benchtime "$micro_benchtime" -benchmem ./internal/... | tee -a "$raw"
 
-echo "== multi-device scaling: explicit 8-device run, -par 0/2/4/8 (-benchtime $scaling_benchtime, best of $scaling_count interleaved) =="
+echo "== multi-device scaling: explicit 8-device run, serial cluster (-par 0) vs -par 2/4/8 (-benchtime $scaling_benchtime, best of $scaling_count interleaved) =="
 scaling_raw="$workdir/scaling.txt"
 scaling_bin="$workdir/t3sim.test"
 go test -c -o "$scaling_bin" .
@@ -82,7 +82,7 @@ for _ in $(seq "$scaling_count"); do
         -test.benchtime "$scaling_benchtime" | tee -a "$scaling_raw"
 done
 
-echo "== multi-device scaling: explicit 64-device run, -par 0/2/4/8 (-benchtime $scaling64_benchtime, best of $scaling_count interleaved) =="
+echo "== multi-device scaling: explicit 64-device run, serial cluster (-par 0) vs -par 2/4/8 (-benchtime $scaling64_benchtime, best of $scaling_count interleaved) =="
 scaling64_raw="$workdir/scaling64.txt"
 : >"$scaling64_raw"
 for _ in $(seq "$scaling_count"); do

@@ -305,7 +305,7 @@ type MultiDeviceResult = t3core.MultiDeviceResult
 // one explicit multi-device run: coordinator rounds, per-engine window
 // executions, and total simulated time advanced (AvgWindowWidth derives the
 // mean advance per window). Request it by pointing FusedOptions.ClusterStats
-// at a value before RunFusedGEMMRSMultiDevice with ParWorkers > 0.
+// at a value before RunFusedGEMMRSMultiDevice.
 type ClusterStats = sim.ClusterStats
 
 // EdgeStall attributes blocked engine-rounds to the inbound link whose
